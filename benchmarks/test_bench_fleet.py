@@ -21,7 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from conftest import write_perf_report
-from repro.fleet import FleetRuleBasedScheduler, build_default_fleet
+from repro import api
+from repro.fleet import FleetRuleBasedScheduler
 from repro.hub.simulation import HubSimulation
 from repro.rl.schedulers import RuleBasedScheduler
 
@@ -34,9 +35,12 @@ N_HUBS = 100
 def test_bench_fleet_throughput():
     scale = float(os.environ.get("ECT_BENCH_SCALE", 1.0))
     n_days = max(int(round(14 * scale)), 2)
-    scenarios, sim = build_default_fleet(
-        N_HUBS, n_days=n_days, seed=0, outage_probability=0.001
+    compiled = api.build(
+        api.resolve_spec("fleet-default").with_overrides(
+            {"fleet.n_hubs": N_HUBS, "run.days": n_days, "run.seed": 0}
+        )
     )
+    scenarios, sim = compiled.scenarios, compiled.simulation
     hub_slots = N_HUBS * sim.horizon
 
     start = time.perf_counter()
@@ -106,14 +110,13 @@ def test_bench_fleet_coupling_overhead():
     n_feeders = 4
 
     def timed_run(feeder_capacity_kw):
-        _, sim = build_default_fleet(
-            N_HUBS,
-            n_days=n_days,
-            seed=0,
-            outage_probability=0.001,
-            n_feeders=n_feeders,
-            feeder_capacity_kw=feeder_capacity_kw,
-        )
+        sim = api.build(
+            api.resolve_spec("fleet-default").with_overrides(
+                {"fleet.n_hubs": N_HUBS, "run.days": n_days, "run.seed": 0,
+                 "grid.n_feeders": n_feeders,
+                 "grid.feeder_capacity_kw": feeder_capacity_kw}
+            )
+        ).simulation
         best = float("inf")
         for _ in range(3):  # best-of-3 damps shared-runner noise
             sim.reset()

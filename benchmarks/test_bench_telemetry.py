@@ -26,7 +26,8 @@ import os
 import time
 
 from conftest import perf_relaxed, write_perf_report
-from repro.fleet import FleetRuleBasedScheduler, build_default_fleet
+from repro import api
+from repro.fleet import FleetRuleBasedScheduler
 from repro.telemetry import Telemetry
 
 N_HUBS = 100
@@ -49,9 +50,11 @@ def _timed_run(sim, rounds: int = 3):
 def test_bench_telemetry_overhead():
     scale = float(os.environ.get("ECT_BENCH_SCALE", 1.0))
     n_days = max(int(round(14 * scale)), 2)
-    _, sim = build_default_fleet(
-        N_HUBS, n_days=n_days, seed=0, outage_probability=0.001
-    )
+    sim = api.build(
+        api.resolve_spec("fleet-default").with_overrides(
+            {"fleet.n_hubs": N_HUBS, "run.days": n_days, "run.seed": 0}
+        )
+    ).simulation
     hub_slots = N_HUBS * sim.horizon
 
     disabled_book, disabled_s = _timed_run(sim)

@@ -1,17 +1,16 @@
-"""``repro.backend`` — the pluggable array-backend seam under the engine.
+"""``repro.backend`` — the one swappable kernel under the fleet engine.
 
-The fused fleet kernel, feeder allocator, cost book, and vectorized
-schedulers dispatch every hot-path array operation through an
-:class:`~repro.backend.base.ArrayOps` instance instead of calling numpy
-directly. :func:`get_backend` resolves one by name:
+The fused fleet step calls numpy directly except for its battery block,
+which it takes from an :class:`~repro.backend.base.ArrayOps` instance
+(``resolve_battery``). :func:`get_backend` resolves one by name:
 
 ``"numpy"``
-    The reference implementation — direct ufunc aliases, byte-identical
-    to the pre-seam engine (preset golden exports unchanged).
+    The reference implementation — a fixed in-place ufunc sequence,
+    pinned byte for byte by the preset golden exports.
 ``"numba"``
-    Optional JIT backend that fuses the battery block of the slot kernel
-    into a compiled per-hub loop. Behind a guarded import: without the
-    numba package it falls back to numpy with a logged warning.
+    Optional JIT backend that fuses the battery block into a compiled
+    per-hub loop. Behind a guarded import: without the numba package it
+    falls back to numpy with a logged warning.
 
 Selection threads through the whole spine: ``RunSpec.backend`` (JSON
 round-trippable, ``--set run.backend=...`` overridable), the spec

@@ -1,57 +1,28 @@
-"""The ``ArrayOps`` seam: every hot-path array primitive in one protocol.
+"""The ``ArrayOps`` seam: the one swappable kernel of the fleet step.
 
 The fused fleet kernel (:mod:`repro.fleet.simulation`), the feeder
-allocator (:mod:`repro.fleet.grid`), the cost book
-(:mod:`repro.fleet.costs`), and the vectorized schedulers never call
-``numpy`` directly on their hot paths anymore — they dispatch through an
-:class:`ArrayOps` instance resolved once per engine
-(:func:`repro.backend.registry.get_backend`). That is what lets a JIT or
-GPU backend slot in under the whole spec → assembly → engine spine
-without touching the engine code: implement these primitives, register a
-name, and every entry point (``api.run``, sweeps, shards, the CLI
-``--backend`` flag) can select it.
+allocator, the cost book and the vectorized schedulers call numpy
+directly. The one exception is the battery block of the slot step,
+:meth:`ArrayOps.resolve_battery`: the charge/discharge/applied-action/SoC
+advance sequence, the only region a JIT backend can profitably fuse into
+a single per-hub loop. The engine resolves an :class:`ArrayOps` once per
+construction (:func:`repro.backend.registry.get_backend`) and calls its
+``resolve_battery`` every step; ``RunSpec.backend`` and the CLI
+``--backend`` flag select it.
 
-The contract is deliberately numpy-shaped: elementwise primitives take
-``out=`` (and where applicable ``where=``) exactly like the ufuncs they
-mirror, so the reference :class:`~repro.backend.numpy_backend.NumpyOps`
-can alias the ufuncs directly and stay **byte-identical** to the
-pre-seam engine. Alternative backends must hold every primitive to the
-repo-wide atol-1e-9 scalar-equivalence bound; the numpy reference is
-held to byte identity (preset golden exports unchanged, test-enforced).
-
-Primitive groups
-----------------
-allocation
-    :meth:`empty` / :meth:`zeros` / :meth:`full` with **explicit pinned
-    dtypes** — backends may not silently up- or down-cast a buffer.
-elementwise
-    ``add/subtract/multiply/divide/negative/maximum/minimum/clip`` plus
-    masked updates (``copyto`` with ``where=``) and ``where`` selects.
-comparison / logic
-    ``greater/equal/not_equal/logical_and/logical_not`` writing into
-    pinned boolean buffers.
-indexing / reduction
-    ``flatnonzero/count_nonzero/argmax/bincount`` (the feeder and cost
-    book rollups), ``scatter_add`` / ``reduceat_sum`` (dense aggregate
-    merges), :meth:`quantile_rows` (scheduler thresholds), and
-    :meth:`segment_prefix_sum` (the priority allocator's per-feeder
-    exclusive prefix sums — computed per segment, never globally, so
-    feeder-closed shards stay bit-identical to the full fleet).
-fused composite
-    :meth:`resolve_battery` — the charge/discharge/applied-action/SoC
-    advance block of the slot kernel, the one region a JIT backend can
-    profitably fuse into a single per-hub loop.
+The numpy reference (:class:`~repro.backend.numpy_backend.NumpyOps`) is
+held to byte identity (preset golden exports unchanged, test-enforced);
+alternative backends are held to the repo-wide atol-1e-9
+scalar-equivalence bound.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 
 class ArrayOps:
-    """Abstract array-primitive provider for the fused fleet kernel.
+    """Abstract battery-kernel provider for the fused fleet step.
 
-    Subclasses set :attr:`name` and provide every primitive below.
+    Subclasses set :attr:`name` and provide :meth:`resolve_battery`.
     Instances are stateless and shared (the registry caches one per
     backend name), so implementations must be re-entrant.
     """
@@ -63,121 +34,6 @@ class ArrayOps:
 
     #: Whether the battery composite runs through a JIT-compiled kernel.
     jit: bool = False
-
-    # ------------------------------------------------------------------ #
-    # Allocation (pinned dtypes — no silent casts)                         #
-    # ------------------------------------------------------------------ #
-
-    def empty(self, shape, dtype=np.float64) -> np.ndarray:
-        """Uninitialised buffer of an explicit dtype."""
-        raise NotImplementedError
-
-    def zeros(self, shape, dtype=np.float64) -> np.ndarray:
-        """Zero-filled buffer of an explicit dtype."""
-        raise NotImplementedError
-
-    def full(self, shape, fill_value, dtype=np.float64) -> np.ndarray:
-        """Constant-filled buffer of an explicit dtype."""
-        raise NotImplementedError
-
-    # ------------------------------------------------------------------ #
-    # Elementwise (ufunc ``out=`` / ``where=`` semantics)                  #
-    # ------------------------------------------------------------------ #
-
-    def add(self, a, b, out=None):
-        raise NotImplementedError
-
-    def subtract(self, a, b, out=None):
-        raise NotImplementedError
-
-    def multiply(self, a, b, out=None):
-        raise NotImplementedError
-
-    def divide(self, a, b, out=None):
-        raise NotImplementedError
-
-    def negative(self, a, out=None):
-        raise NotImplementedError
-
-    def maximum(self, a, b, out=None):
-        raise NotImplementedError
-
-    def minimum(self, a, b, out=None):
-        raise NotImplementedError
-
-    def clip(self, a, a_min, a_max, out=None):
-        raise NotImplementedError
-
-    def where(self, condition, a, b):
-        raise NotImplementedError
-
-    def copyto(self, dst, src, where=True) -> None:
-        """Masked row update: ``dst[where] = src[where]`` (broadcasting)."""
-        raise NotImplementedError
-
-    # ------------------------------------------------------------------ #
-    # Comparison / logic (into boolean buffers)                            #
-    # ------------------------------------------------------------------ #
-
-    def greater(self, a, b, out=None):
-        raise NotImplementedError
-
-    def equal(self, a, b, out=None):
-        raise NotImplementedError
-
-    def not_equal(self, a, b, out=None):
-        raise NotImplementedError
-
-    def logical_and(self, a, b, out=None):
-        raise NotImplementedError
-
-    def logical_not(self, a, out=None):
-        raise NotImplementedError
-
-    # ------------------------------------------------------------------ #
-    # Indexing / reduction                                                 #
-    # ------------------------------------------------------------------ #
-
-    def flatnonzero(self, a) -> np.ndarray:
-        raise NotImplementedError
-
-    def count_nonzero(self, a) -> int:
-        raise NotImplementedError
-
-    def argmax(self, a) -> int:
-        raise NotImplementedError
-
-    def bincount(self, x, weights=None, minlength=0) -> np.ndarray:
-        """Segment sums keyed by small non-negative ints (feeder rollups)."""
-        raise NotImplementedError
-
-    def scatter_add(self, target, indices, values) -> None:
-        """Unbuffered ``target[indices] += values`` (``np.add.at``)."""
-        raise NotImplementedError
-
-    def reduceat_sum(self, values, starts, axis=0) -> np.ndarray:
-        """Contiguous-segment sums along an axis (``np.add.reduceat``)."""
-        raise NotImplementedError
-
-    def quantile_rows(self, values, q) -> np.ndarray:
-        """Per-row quantile of a 2-D block (scheduler price thresholds)."""
-        raise NotImplementedError
-
-    def segment_prefix_sum(self, values, bounds) -> np.ndarray:
-        """Exclusive prefix sums within ``[bounds[k], bounds[k+1])`` segments.
-
-        ``bounds`` is a sorted index array with ``bounds[0] == 0`` and
-        ``bounds[-1] == len(values)``. Entry *i* of the result is the sum
-        of the values strictly before *i* in *i*'s own segment. Sums must
-        accumulate per segment (never a global cumsum minus an offset):
-        the priority feeder allocator relies on segment-local rounding so
-        feeder-closed shards reproduce the unsharded grants bit-for-bit.
-        """
-        raise NotImplementedError
-
-    # ------------------------------------------------------------------ #
-    # Fused composite                                                      #
-    # ------------------------------------------------------------------ #
 
     def resolve_battery(self, kernel, soc, actions, b, applied, p_bp) -> None:
         """The battery block of one fused slot step, for all hubs at once.

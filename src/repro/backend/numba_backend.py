@@ -6,13 +6,13 @@ logged warning instead of crashing, so a spec that names the backend
 stays runnable everywhere (shard and sweep workers re-resolve in their
 own process and fall back the same way).
 
-When numba is present, :class:`NumbaOps` inherits every primitive from
-:class:`~repro.backend.numpy_backend.NumpyOps` and overrides only
-:meth:`resolve_battery` with an ``@njit`` per-hub scalar loop — the one
-region of the slot kernel where fusing ~20 ufunc passes into a single
-traversal pays. The loop applies the same operations in the same
-per-element order as the reference, so it is held to (and comfortably
-inside) the repo-wide atol-1e-9 scalar-equivalence bound.
+When numba is present, :class:`NumbaOps` replaces
+:meth:`~repro.backend.numpy_backend.NumpyOps.resolve_battery` with an
+``@njit`` per-hub scalar loop — the one region of the slot kernel where
+fusing ~20 ufunc passes into a single traversal pays. The loop applies
+the same operations in the same per-element order as the reference, so
+it is held to (and comfortably inside) the repo-wide atol-1e-9
+scalar-equivalence bound.
 """
 
 from __future__ import annotations
@@ -92,7 +92,7 @@ def _battery_kernel(
 
 
 class NumbaOps(NumpyOps):
-    """JIT battery composite over the numpy primitive set.
+    """JIT battery composite in place of the numpy ufunc sequence.
 
     Constructable only where numba is importable; the registry guards
     this and falls back to :class:`NumpyOps` otherwise.

@@ -200,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend",
         choices=("numpy", "numba"),
         default=None,
-        help="array backend the engine dispatches through: 'numpy' "
+        help="battery-kernel backend of the engine step: 'numpy' "
         "(reference, byte-identical) or 'numba' (optional JIT; falls "
         "back to numpy with a warning when the package is missing) "
         "(sugar for --set run.backend=...)",

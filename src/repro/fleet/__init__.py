@@ -34,7 +34,6 @@ Layout
 """
 
 from .builder import (
-    build_default_fleet,
     fleet_inputs_from_scenarios,
     fleet_params_from_scenarios,
     fleet_simulation_from_scenarios,
@@ -70,7 +69,6 @@ __all__ = [
     "FleetSimulation",
     "SlotPlanes",
     "SlotTraces",
-    "build_default_fleet",
     "fleet_inputs_from_scenarios",
     "fleet_params_from_scenarios",
     "fleet_simulation_from_scenarios",

@@ -4,8 +4,9 @@ Bridges the per-hub scenario layer (:mod:`repro.hub.scenario`) and the
 struct-of-arrays engine: stack N :class:`~repro.hub.scenario.HubScenario`
 traces + configs into :class:`FleetParams` / :class:`FleetInputs`, resolve
 charging occupancy from the generative strata model, and optionally sample
-per-hub blackout masks — yielding city-scale fleets
-(``build_default_fleet(n_hubs=200)``) ready to batch-step.
+per-hub blackout masks — yielding city-scale fleets ready to batch-step.
+Whole fleets are built from a spec with ``repro.api.build``, whose
+compiler (:mod:`repro.spec.compiler`) calls these helpers.
 """
 
 from __future__ import annotations
@@ -91,8 +92,8 @@ def fleet_simulation_from_scenarios(
     ``storage``/``window`` select the cost-book layout (see
     :class:`~repro.fleet.costs.FleetCostBook`): ``"windowed"`` folds
     slots into running aggregates over a bounded ring so book memory
-    stops scaling with the horizon. ``backend`` picks the array backend
-    the engine dispatches through (see :mod:`repro.backend`).
+    stops scaling with the horizon. ``backend`` picks the engine's
+    battery kernel (see :mod:`repro.backend`).
     """
     return FleetSimulation(
         fleet_params_from_scenarios(scenarios),
@@ -104,68 +105,3 @@ def fleet_simulation_from_scenarios(
         window=window,
         backend=backend,
     )
-
-
-def build_default_fleet(
-    n_hubs: int,
-    *,
-    n_days: int = 30,
-    seed: int = 0,
-    outage_probability: float = 0.0,
-    recovery_time_h: int = 4,
-    n_feeders: int = 1,
-    feeder_capacity_kw: float | None = None,
-    allocation: str = "proportional",
-) -> tuple[list[HubScenario], FleetSimulation]:
-    """A ready-to-run fleet over ``default_fleet`` sites.
-
-    Generates ``n_hubs`` heterogeneous urban/rural scenarios, realises
-    charging occupancy from each hub's latent strata (no discounts — the
-    undiscounted baseline used by the scheduler studies), optionally
-    samples per-hub blackout windows, and returns both the scenario list
-    (for inspection / scalar-engine cross-checks) and the batched engine.
-
-    ``feeder_capacity_kw`` switches on shared-grid coupling: hubs are
-    round-robined over ``n_feeders`` feeders of that per-slot import
-    capacity, with contention resolved by ``allocation``
-    (``"proportional"`` or ``"priority"``). ``None`` keeps the capacity
-    unlimited — numerically the uncoupled engine — while still honouring
-    the requested feeder topology in the cost book's rollups.
-
-    Since the spec layer landed this is a thin shim over the declarative
-    path: the arguments become a :class:`~repro.spec.scenario.ScenarioSpec`
-    and the :mod:`repro.spec.compiler` does the assembly (bit-identically
-    to the original imperative builder, which the fleet equivalence and
-    determinism suites enforce).
-    """
-    if n_hubs <= 0:
-        raise FleetError(f"n_hubs must be positive, got {n_hubs}")
-    if n_days <= 0:
-        raise FleetError(f"n_days must be positive, got {n_days}")
-    # Local import: repro.spec imports repro.fleet submodules at load time.
-    from ..spec.compiler import build
-    from ..spec.scenario import (
-        BlackoutSpec,
-        FleetSpec,
-        GridSpec,
-        RunSpec,
-        ScenarioSpec,
-    )
-
-    compiled = build(
-        ScenarioSpec(
-            name="default-fleet",
-            fleet=FleetSpec(n_hubs=n_hubs),
-            grid=GridSpec(
-                n_feeders=n_feeders,
-                feeder_capacity_kw=feeder_capacity_kw,
-                allocation=allocation,
-            ),
-            blackout=BlackoutSpec(
-                outage_probability_per_hour=outage_probability,
-                recovery_time_h=recovery_time_h,
-            ),
-            run=RunSpec(days=n_days, seed=seed),
-        )
-    )
-    return compiled.scenarios, compiled.simulation

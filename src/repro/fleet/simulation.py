@@ -29,14 +29,12 @@ blackout slot) and whatever the reserve cannot cover is booked as
 unserved. Under the default unlimited feeder the coupled step is
 bit-identical to the uncoupled one.
 
-Array backends: every hot-path array operation dispatches through an
-:class:`~repro.backend.base.ArrayOps` resolved once at construction
-(``backend="numpy"`` by default — direct ufunc aliases, byte-identical
-to the pre-seam kernel; ``"numba"`` JIT-fuses the battery block where
-the optional package is installed, else falls back with a warning). The
-ops instance is shared with the engine's planes, cost book, feeder
-allocation, and schedulers, so one ``RunSpec.backend`` knob switches the
-whole slot loop.
+Battery kernel backends: the step calls numpy directly, except for the
+battery block (``resolve_battery``), which is the one swappable kernel.
+It comes from an :class:`~repro.backend.base.ArrayOps` resolved once at
+construction (``backend="numpy"`` by default, the reference ufunc
+sequence; ``"numba"`` JIT-fuses the block into a per-hub loop where the
+optional package is installed, else falls back with a warning).
 """
 
 from __future__ import annotations
@@ -82,7 +80,7 @@ class FleetSimulation:
                 f"params describe {params.n_hubs} hubs but inputs carry "
                 f"{inputs.n_hubs}"
             )
-        #: The array backend every hot-path operation dispatches through.
+        #: The backend providing the battery kernel (``resolve_battery``).
         self.ops = get_backend(backend)
         #: Resolved backend name ("numba" falls back to "numpy" without
         #: the package, and this records what actually runs).
@@ -104,7 +102,7 @@ class FleetSimulation:
         # the uncoupled default pays nothing for the coupling machinery.
         self._coupled = not self.feeders.is_unlimited
         #: Action-independent slot planes, shared across resets.
-        self.planes = SlotPlanes(params, inputs, ops=self.ops)
+        self.planes = SlotPlanes(params, inputs)
         self._outage = self.planes.outage
         self._initial_soc = self._as_soc_fraction(initial_soc_fraction)
         self.voll_per_kwh = float(voll_per_kwh)
@@ -126,7 +124,7 @@ class FleetSimulation:
         self.book = self._new_book()
         self._t = 0
         self.soc_kwh = self._reset_soc(self._initial_soc)
-        self.throughput_kwh = self.ops.zeros(params.n_hubs, np.float64)
+        self.throughput_kwh = np.zeros(params.n_hubs)
 
     def _new_book(self) -> FleetCostBook:
         """A fresh cost book with the exogenous columns pre-filled.
@@ -148,7 +146,6 @@ class FleetSimulation:
             voll_per_kwh=self.voll_per_kwh,
             storage=self._book_storage,
             window=self._book_window,
-            backend=self.backend,
         )
         if self._windowed_book:
             return book
@@ -183,7 +180,7 @@ class FleetSimulation:
         self._limit_active = params.import_limit_kw > 0.0
         self._any_import_limit = bool(self._limit_active.any())
         #: The battery composite's constant block, handed to
-        #: ``ops.resolve_battery`` each step (one namespace instead of
+        #: ``self.ops.resolve_battery`` each step (one namespace instead of
         #: re-reading params attributes inside the hot loop).
         self._kernel = SimpleNamespace(
             soc_max_kwh=params.soc_max_kwh,
@@ -198,11 +195,10 @@ class FleetSimulation:
 
     def _allocate_buffers(self) -> None:
         """Reusable ``out=`` buffers so the hot step allocates nothing."""
-        ops = self.ops
         n = self.params.n_hubs
 
         def f():
-            return ops.empty(n, np.float64)
+            return np.empty(n)
 
         self._buf = SimpleNamespace(
             headroom=f(),
@@ -215,10 +211,10 @@ class FleetSimulation:
             residual=f(),
             throughput=f(),
             tmp=f(),
-            mask=ops.empty(n, np.bool_),
-            charging=ops.empty(n, np.bool_),
-            discharging=ops.empty(n, np.bool_),
-            idle_mask=ops.empty(n, np.bool_),
+            mask=np.empty(n, np.bool_),
+            charging=np.empty(n, np.bool_),
+            discharging=np.empty(n, np.bool_),
+            idle_mask=np.empty(n, np.bool_),
         )
 
     def _as_soc_fraction(self, fraction: float | np.ndarray) -> np.ndarray:
@@ -295,7 +291,7 @@ class FleetSimulation:
             else self._as_soc_fraction(soc_fraction)
         )
         self.soc_kwh = self._reset_soc(fractions)
-        self.throughput_kwh = self.ops.zeros(self.params.n_hubs, np.float64)
+        self.throughput_kwh = np.zeros(self.params.n_hubs)
 
     # ------------------------------------------------------------------ #
     # Stepping                                                             #
@@ -344,7 +340,6 @@ class FleetSimulation:
         params = self.params
         dt = params.dt_h
         planes = self.planes
-        ops = self.ops
         b = self._buf
         soc = self.soc_kwh
         book = self.book
@@ -358,16 +353,16 @@ class FleetSimulation:
             # and zero the branch-written ones (every other column is
             # overwritten unconditionally below).
             inputs = self.inputs
-            ops.copyto(dest["blackout"], planes.outage[:, t])
-            ops.copyto(dest["p_bs_kw"], planes.p_bs_kw[:, t])
-            ops.copyto(dest["p_cs_kw"], planes.p_cs_kw[:, t])
-            ops.copyto(dest["p_pv_kw"], inputs.pv_power_kw[:, t])
-            ops.copyto(dest["p_wt_kw"], inputs.wt_power_kw[:, t])
-            ops.copyto(dest["rtp_kwh"], inputs.rtp_kwh[:, t])
-            ops.copyto(dest["srtp_kwh"], planes.srtp_kwh[:, t])
-            ops.copyto(dest["revenue"], planes.revenue[:, t])
-            ops.copyto(dest["unserved_kwh"], 0.0)
-            ops.copyto(dest["import_shortfall_kw"], 0.0)
+            np.copyto(dest["blackout"], planes.outage[:, t])
+            np.copyto(dest["p_bs_kw"], planes.p_bs_kw[:, t])
+            np.copyto(dest["p_cs_kw"], planes.p_cs_kw[:, t])
+            np.copyto(dest["p_pv_kw"], inputs.pv_power_kw[:, t])
+            np.copyto(dest["p_wt_kw"], inputs.wt_power_kw[:, t])
+            np.copyto(dest["rtp_kwh"], inputs.rtp_kwh[:, t])
+            np.copyto(dest["srtp_kwh"], planes.srtp_kwh[:, t])
+            np.copyto(dest["revenue"], planes.revenue[:, t])
+            np.copyto(dest["unserved_kwh"], 0.0)
+            np.copyto(dest["import_shortfall_kw"], 0.0)
         applied = dest["action"]
         p_bp = dest["p_bp_kw"]
         p_grid = dest["p_grid_kw"]
@@ -377,17 +372,17 @@ class FleetSimulation:
         # --- Battery composite (BatteryPack._charge/_discharge fused):
         # resolves stored/drawn energy, the applied action, the battery
         # bus power, and the SoC advance in one backend call. The numpy
-        # reference replays the pre-seam ufunc sequence verbatim; the
-        # numba backend runs the same arithmetic as a JIT per-hub loop.
-        ops.resolve_battery(self._kernel, soc, actions, b, applied, p_bp)
+        # reference is a fixed ufunc sequence; the numba backend runs the
+        # same arithmetic as a JIT per-hub loop.
+        self.ops.resolve_battery(self._kernel, soc, actions, b, applied, p_bp)
 
         # --- Eq. 7 (EctHub.power_balance): import the residual, curtail
         # surplus. The action-independent part comes from the plane cache.
-        ops.add(planes.residual_static_kw[:, t], p_bp, out=b.residual)
-        ops.maximum(b.residual, 0.0, out=p_grid)
-        ops.negative(b.residual, out=surplus)
-        ops.maximum(surplus, 0.0, out=surplus)
-        ops.add(b.stored, b.drawn, out=b.throughput)
+        np.add(planes.residual_static_kw[:, t], p_bp, out=b.residual)
+        np.maximum(b.residual, 0.0, out=p_grid)
+        np.negative(b.residual, out=surplus)
+        np.maximum(surplus, 0.0, out=surplus)
+        np.add(b.stored, b.drawn, out=b.throughput)
 
         # The exogenous columns (BS/CS draw, renewables, prices, blackout
         # mask, non-blackout revenue) were bulk-filled at reset; the
@@ -396,23 +391,23 @@ class FleetSimulation:
         outage_now = bool(planes.outage_any[t])
         coupled = self._coupled
         if outage_now or coupled:
-            ops.copyto(unserved, 0.0)
+            np.copyto(unserved, 0.0)
 
         # --- Blackout branch, only on the rows whose outage fires now
         # (HubSimulation._blackout_slot + BatteryPack.emergency_supply:
         # charging suspended, the action overridden, SoC allowed below
         # SoC_min). Most slots skip this block entirely.
         if outage_now:
-            dark = ops.flatnonzero(planes.outage[:, t])
+            dark = np.flatnonzero(planes.outage[:, t])
             dest["p_cs_kw"][dark] = 0.0
             dest["revenue"][dark] = 0.0
 
             soc_pre = soc[dark]
             deficit_kwh = planes.blackout_deficit_kwh[dark, t]
             eta = self._reserve_eta[dark]
-            drawn_dark = ops.minimum(deficit_kwh / eta, soc_pre)
+            drawn_dark = np.minimum(deficit_kwh / eta, soc_pre)
             served_kwh = drawn_dark * eta
-            p_bp[dark] = ops.where(served_kwh > 0.0, -served_kwh / dt, 0.0)
+            p_bp[dark] = np.where(served_kwh > 0.0, -served_kwh / dt, 0.0)
             p_grid[dark] = 0.0
             surplus[dark] = planes.blackout_surplus_kw[dark, t]
             b.new_soc[dark] = soc_pre - drawn_dark
@@ -423,17 +418,17 @@ class FleetSimulation:
                 tele.metrics.inc("engine.blackout_hub_slots", dark.size)
                 tele.metrics.inc(
                     "engine.reserve_dispatches",
-                    ops.count_nonzero(drawn_dark > 0.0),
+                    int(np.count_nonzero(drawn_dark > 0.0)),
                 )
 
         # The per-hub interconnection limit applies to the *requested*
         # import, before any feeder-level curtailment (blackout rows
         # request 0 kW, so a positive limit can never fire there).
         if self._any_import_limit:
-            ops.greater(p_grid, params.import_limit_kw, out=b.mask)
-            ops.logical_and(b.mask, self._limit_active, out=b.mask)
+            np.greater(p_grid, params.import_limit_kw, out=b.mask)
+            np.logical_and(b.mask, self._limit_active, out=b.mask)
             if b.mask.any():
-                hub = int(ops.argmax(b.mask))
+                hub = int(np.argmax(b.mask))
                 raise GridError(
                     f"hub {hub}: import of {p_grid[hub]:.3f} kW exceeds the "
                     f"interconnection limit of "
@@ -445,26 +440,26 @@ class FleetSimulation:
             # from the Eq. 6 reserve exactly like a blackout deficit
             # (blackout hubs request 0 import, so they pass through).
             if tele is None:
-                granted, shortfall_kw = self.feeders.allocate(p_grid, t, ops=ops)
+                granted, shortfall_kw = self.feeders.allocate(p_grid, t)
             else:
                 alloc_start = time.perf_counter()
-                granted, shortfall_kw = self.feeders.allocate(p_grid, t, ops=ops)
+                granted, shortfall_kw = self.feeders.allocate(p_grid, t)
                 tele.metrics.add_time(
                     "allocation", time.perf_counter() - alloc_start
                 )
-            ops.copyto(p_grid, granted)
-            ops.copyto(dest["import_shortfall_kw"], shortfall_kw)
+            np.copyto(p_grid, granted)
+            np.copyto(dest["import_shortfall_kw"], shortfall_kw)
             shortfall_kwh = shortfall_kw * dt
             eta = self._reserve_eta
-            drawn_short = ops.minimum(shortfall_kwh / eta, b.new_soc)
+            drawn_short = np.minimum(shortfall_kwh / eta, b.new_soc)
             served_kwh = drawn_short * eta
-            p_bp -= ops.where(drawn_short > 0.0, served_kwh / dt, 0.0)
+            p_bp -= np.where(drawn_short > 0.0, served_kwh / dt, 0.0)
             b.new_soc -= drawn_short
             b.throughput += drawn_short
             # (x/η)·η can exceed x by one ulp — never book negative unserved.
-            unserved += ops.maximum(shortfall_kwh - served_kwh, 0.0)
+            unserved += np.maximum(shortfall_kwh - served_kwh, 0.0)
             if tele is not None:
-                congested = ops.count_nonzero(shortfall_kw > 0.0)
+                congested = int(np.count_nonzero(shortfall_kw > 0.0))
                 if congested:
                     tele.metrics.inc("engine.congested_hub_slots", congested)
                     tele.metrics.inc(
@@ -472,19 +467,19 @@ class FleetSimulation:
                     )
                     tele.metrics.inc(
                         "engine.reserve_dispatches",
-                        ops.count_nonzero(drawn_short > 0.0),
+                        int(np.count_nonzero(drawn_short > 0.0)),
                     )
 
         # Eqs. 8, 9, 11 — identical expressions to compute_slot_ledger.
-        ops.multiply(p_grid, planes.rtp_dt[:, t], out=dest["grid_cost"])
-        ops.not_equal(applied, IDLE, out=b.mask)
-        ops.multiply(b.mask, params.c_bp_per_slot, out=dest["bp_cost"])
+        np.multiply(p_grid, planes.rtp_dt[:, t], out=dest["grid_cost"])
+        np.not_equal(applied, IDLE, out=b.mask)
+        np.multiply(b.mask, params.c_bp_per_slot, out=dest["bp_cost"])
 
         # Commit the battery state as fresh arrays (like the PR-3 engine)
         # so caller-held `soc_kwh`/`throughput_kwh` snapshots stay valid
         # forever; the scratch buffers are reused next step.
         self.soc_kwh = b.new_soc.copy()
-        ops.copyto(dest["soc_kwh"], self.soc_kwh)
+        np.copyto(dest["soc_kwh"], self.soc_kwh)
         self.throughput_kwh = self.throughput_kwh + b.throughput
 
         book.commit_slot(t)

@@ -90,9 +90,8 @@ class FleetEnv:
         feature. ``None`` (default) enables it exactly when a
         capacity-limited feeder group is attached.
     backend:
-        Array backend the per-episode engines dispatch through (see
-        :mod:`repro.backend`); the default numpy reference is
-        byte-identical to the pre-seam environment.
+        Battery-kernel backend of the per-episode engines (see
+        :mod:`repro.backend`); every other step operation is plain numpy.
     """
 
     def __init__(

@@ -461,7 +461,7 @@ class RlSpec:
 #: kept local so plain spec builds stay engine-import-free).
 STORAGE_MODES = ("dense", "windowed")
 
-#: Array backends the engine can dispatch through (mirrors
+#: Battery-kernel backends the engine can run (mirrors
 #: ``repro.backend.BACKEND_NAMES``; kept local for the same reason).
 BACKENDS = ("numpy", "numba")
 
@@ -482,7 +482,8 @@ class RunSpec:
     cost book into running aggregates so memory stops scaling with the
     horizon (aggregates agree with dense at atol 1e-9).
 
-    ``backend`` picks the array backend the engine dispatches through:
+    ``backend`` picks the engine's battery kernel, the one swappable
+    block of the slot step (everything else is plain numpy):
     ``"numpy"`` (default, the byte-identical reference) or ``"numba"``
     (optional JIT; falls back to numpy with a warning where the package
     is missing, held to atol 1e-9 otherwise). Shard and sweep workers

@@ -15,6 +15,7 @@ import json
 import numpy as np
 import pytest
 
+from repro import api
 from repro.cli import main
 from repro.energy.battery import BatteryConfig, CHARGE, DISCHARGE, IDLE
 from repro.errors import ConfigError, DataError, FleetError
@@ -27,7 +28,6 @@ from repro.fleet import (
     FleetIdleScheduler,
     FleetRandomScheduler,
     FleetRuleBasedScheduler,
-    build_default_fleet,
     fleet_simulation_from_scenarios,
     make_fleet_scheduler,
 )
@@ -190,7 +190,13 @@ class TestContainers:
 @pytest.fixture(scope="module")
 def fleet_case():
     """≥10 hubs x ≥7 days with outages, shared by every scheduler check."""
-    scenarios, sim = build_default_fleet(10, n_days=7, seed=3, outage_probability=0.01)
+    compiled = api.build(
+        api.resolve_spec("fleet-default").with_overrides(
+            {"fleet.n_hubs": 10, "run.days": 7, "run.seed": 3,
+             "blackout.outage_probability_per_hour": 0.01}
+        )
+    )
+    scenarios, sim = compiled.scenarios, compiled.simulation
     assert sim.inputs.outage is not None and sim.inputs.outage.any()
     return scenarios, sim
 
@@ -682,18 +688,19 @@ class TestCongestion:
     @pytest.fixture(scope="class")
     def congested_case(self):
         """A fleet whose 3 feeders are capped at half the uncongested peak."""
-        _, free = build_default_fleet(12, n_days=7, seed=3, outage_probability=0.01)
+        base = api.resolve_spec("fleet-default").with_overrides(
+            {"fleet.n_hubs": 12, "run.days": 7, "run.seed": 3,
+             "blackout.outage_probability_per_hour": 0.01}
+        )
+        free = api.build(base).simulation
         free_book = free.run(FleetRuleBasedScheduler())
         peak = float(free_book.feeder_import_kw().max())
         capacity = peak / 3 * 0.5
-        _, sim = build_default_fleet(
-            12,
-            n_days=7,
-            seed=3,
-            outage_probability=0.01,
-            n_feeders=3,
-            feeder_capacity_kw=capacity,
-        )
+        sim = api.build(
+            base.with_overrides(
+                {"grid.n_feeders": 3, "grid.feeder_capacity_kw": capacity}
+            )
+        ).simulation
         book = sim.run(FleetRuleBasedScheduler())
         return free_book, sim, book, capacity
 
@@ -726,13 +733,19 @@ class TestCongestion:
         )
 
     def test_congestion_aware_scheduler_sheds_charges(self):
-        _, free = build_default_fleet(12, n_days=7, seed=3)
+        base = api.resolve_spec("fleet-default").with_overrides(
+            {"fleet.n_hubs": 12, "run.days": 7, "run.seed": 3,
+             "blackout.outage_probability_per_hour": 0.0}
+        )
+        free = api.build(base).simulation
         peak = float(free.run(FleetRuleBasedScheduler()).feeder_import_kw().max())
         builds = {}
         for aware in (True, False):
-            _, sim = build_default_fleet(
-                12, n_days=7, seed=3, n_feeders=3, feeder_capacity_kw=peak / 3 * 0.8
-            )
+            sim = api.build(
+                base.with_overrides(
+                    {"grid.n_feeders": 3, "grid.feeder_capacity_kw": peak / 3 * 0.8}
+                )
+            ).simulation
             builds[aware] = sim.run(
                 FleetRuleBasedScheduler(congestion_aware=aware)
             )

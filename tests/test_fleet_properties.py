@@ -16,6 +16,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import api
 from repro.cli import main
 from repro.energy.battery import BatteryConfig, IDLE
 from repro.fleet import (
@@ -25,7 +26,6 @@ from repro.fleet import (
     FleetRandomScheduler,
     FleetRuleBasedScheduler,
     FleetSimulation,
-    build_default_fleet,
 )
 from repro.hub.hub import EctHub, HubConfig
 from repro.hub.simulation import HubSimulation
@@ -236,14 +236,13 @@ class TestRandomizedInvariants:
     def test_default_fleet_scenarios_satisfy_invariants(self):
         # The generative scenario path (renewables, strata occupancy,
         # sampled outages), congested on purpose.
-        _, sim = build_default_fleet(
-            10,
-            n_days=5,
-            seed=7,
-            outage_probability=0.01,
-            n_feeders=3,
-            feeder_capacity_kw=120.0,
-        )
+        sim = api.build(
+            api.resolve_spec("fleet-default").with_overrides(
+                {"fleet.n_hubs": 10, "run.days": 5, "run.seed": 7,
+                 "blackout.outage_probability_per_hour": 0.01,
+                 "grid.n_feeders": 3, "grid.feeder_capacity_kw": 120.0}
+            )
+        ).simulation
         sim.run(FleetRuleBasedScheduler())
         assert sim.book.total_import_shortfall_kwh > 0.0  # capacity binds
         assert_fleet_invariants(sim)
@@ -262,14 +261,13 @@ def book_bytes(book) -> bytes:
 
 class TestDeterminism:
     def _run_once(self, scheduler_seed: int):
-        _, sim = build_default_fleet(
-            8,
-            n_days=5,
-            seed=11,
-            outage_probability=0.01,
-            n_feeders=2,
-            feeder_capacity_kw=150.0,
-        )
+        sim = api.build(
+            api.resolve_spec("fleet-default").with_overrides(
+                {"fleet.n_hubs": 8, "run.days": 5, "run.seed": 11,
+                 "blackout.outage_probability_per_hour": 0.01,
+                 "grid.n_feeders": 2, "grid.feeder_capacity_kw": 150.0}
+            )
+        ).simulation
         sim.run(
             FleetRandomScheduler.from_factory(
                 RngFactory(seed=scheduler_seed), sim.n_hubs
@@ -285,9 +283,13 @@ class TestDeterminism:
     def test_rule_based_runs_are_byte_identical(self):
         books = []
         for _ in range(2):
-            _, sim = build_default_fleet(
-                8, n_days=5, seed=11, n_feeders=2, feeder_capacity_kw=150.0
-            )
+            sim = api.build(
+                api.resolve_spec("fleet-default").with_overrides(
+                    {"fleet.n_hubs": 8, "run.days": 5, "run.seed": 11,
+                     "blackout.outage_probability_per_hour": 0.0,
+                     "grid.n_feeders": 2, "grid.feeder_capacity_kw": 150.0}
+                )
+            ).simulation
             books.append(sim.run(FleetRuleBasedScheduler()))
         assert book_bytes(books[0]) == book_bytes(books[1])
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import api
 from repro.fleet import (
     FeederGroup,
     FleetInputs,
@@ -19,7 +20,6 @@ from repro.fleet import (
     FleetRuleBasedScheduler,
     FleetSimulation,
     SlotPlanes,
-    build_default_fleet,
 )
 from repro.hub.hub import HubConfig
 from repro.energy.battery import BatteryConfig
@@ -138,7 +138,12 @@ class TestEngineUsesPlanes:
             sim.step(np.zeros(sim.n_hubs, dtype=int))
 
     def test_planes_and_buffers_survive_reset(self):
-        _, sim = build_default_fleet(6, n_days=2, seed=1)
+        sim = api.build(
+            api.resolve_spec("fleet-default").with_overrides(
+                {"fleet.n_hubs": 6, "run.days": 2, "run.seed": 1,
+                 "blackout.outage_probability_per_hour": 0.0}
+            )
+        ).simulation
         planes = sim.planes
         first = sim.run(FleetRuleBasedScheduler())
         first_bytes = first.p_grid_kw.tobytes()
@@ -149,7 +154,12 @@ class TestEngineUsesPlanes:
 
     def test_soc_snapshots_are_stable_across_later_steps(self):
         """Caller-held soc_kwh references must never be mutated in place."""
-        _, sim = build_default_fleet(5, n_days=2, seed=4)
+        sim = api.build(
+            api.resolve_spec("fleet-default").with_overrides(
+                {"fleet.n_hubs": 5, "run.days": 2, "run.seed": 4,
+                 "blackout.outage_probability_per_hour": 0.0}
+            )
+        ).simulation
         charge = np.ones(sim.n_hubs, dtype=int)
         history, copies = [], []
         for _ in range(6):
@@ -161,7 +171,12 @@ class TestEngineUsesPlanes:
 
     def test_step_columns_are_stable_across_later_steps(self):
         """Returned columns must not be clobbered by subsequent steps."""
-        _, sim = build_default_fleet(5, n_days=2, seed=2)
+        sim = api.build(
+            api.resolve_spec("fleet-default").with_overrides(
+                {"fleet.n_hubs": 5, "run.days": 2, "run.seed": 2,
+                 "blackout.outage_probability_per_hour": 0.0}
+            )
+        ).simulation
         idle = np.zeros(sim.n_hubs, dtype=int)
         charge = np.ones(sim.n_hubs, dtype=int)
         first = sim.step(charge)
