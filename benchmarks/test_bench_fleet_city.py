@@ -26,7 +26,7 @@ from conftest import bench_scale, perf_relaxed, write_perf_report
 from repro import api
 from repro.experiments.base import write_results_json
 from repro.parallel import _available_cpus
-from repro.spec.compiler import spec_from_fleet_flags
+from repro.spec import get_preset
 
 N_HUBS = 2000
 DAYS = 7
@@ -44,8 +44,10 @@ MAX_WINDOWED_FRACTION = 0.25
 def _spec(scale: float):
     n_hubs = max(int(round(N_HUBS * scale)), 40)
     days = max(int(round(DAYS * scale)), 2)
-    return spec_from_fleet_flags(n_hubs=n_hubs, days=days).with_overrides(
+    return get_preset("fleet-default").with_overrides(
         {
+            "fleet.n_hubs": n_hubs,
+            "run.days": days,
             "grid.n_feeders": min(N_FEEDERS, n_hubs),
             "grid.feeder_capacity_kw": FEEDER_CAPACITY_KW,
         }

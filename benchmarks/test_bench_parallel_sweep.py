@@ -24,8 +24,7 @@ import time
 from conftest import perf_relaxed, write_perf_report
 from repro import api
 from repro.parallel import _available_cpus
-from repro.spec import SweepSpec
-from repro.spec.compiler import spec_from_fleet_flags
+from repro.spec import SweepSpec, get_preset
 
 N_JOBS = 8
 N_HUBS = 24
@@ -40,7 +39,9 @@ MIN_SPEEDUP_RELAXED = 0.9
 
 def _sweep(scale: float) -> SweepSpec:
     days = max(int(round(7 * scale)), 2)
-    base = spec_from_fleet_flags(n_hubs=N_HUBS, days=days)
+    base = get_preset("fleet-default").with_overrides(
+        {"fleet.n_hubs": N_HUBS, "run.days": days}
+    )
     return SweepSpec(
         base=base,
         parameters={"run.seed": tuple(range(N_JOBS))},

@@ -18,7 +18,7 @@ import numpy as np
 
 from conftest import bench_scale, perf_relaxed, write_perf_report
 from repro import api
-from repro.spec.compiler import _assemble_fleet, spec_from_price_flags
+from repro.spec.compiler import _assemble_fleet
 
 #: Re-realisation throughput floors, in hub-slots/sec.
 REALIZE_FLOOR = 2e6
@@ -27,7 +27,7 @@ REALIZE_FLOOR_RELAXED = 2e5
 
 def test_bench_occupancy_rerealization():
     scale = bench_scale(1.0)
-    spec = spec_from_price_flags(scale=scale)
+    spec = api.resolve_spec("fleet-price", scale=scale)
     assembly = _assemble_fleet(spec)
     assembly.realize_strata()  # pay the one-off strata draw up front
 
@@ -63,7 +63,7 @@ def test_bench_occupancy_rerealization():
 
     start = time.perf_counter()
     result = api.run_pricing(
-        spec_from_price_flags(scale=min(scale, 0.25)),
+        api.resolve_spec("fleet-price", scale=min(scale, 0.25)),
         methods=("none", "evening", "oracle"),
     )
     study_s = time.perf_counter() - start

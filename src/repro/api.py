@@ -30,18 +30,20 @@ from __future__ import annotations
 
 import time
 from pathlib import Path
+from typing import Any, Mapping
 
 import numpy as np
 
 from .backend import get_backend
 from .errors import ConfigError
-from .experiments.base import ExperimentResult, scaled
+from .experiments.base import ExperimentResult
 from .rng import RngFactory
 from .spec.compiler import (
     CompiledScenario,
     build as _compile,
     build_fleet_env as _compile_fleet_env,
     ppo_config_from_spec,
+    scaled,
 )
 from .spec.presets import get_preset
 from .spec.scenario import PRICING_POLICIES, ScenarioSpec
@@ -54,15 +56,32 @@ def load_spec(path: str | Path) -> ScenarioSpec:
     return ScenarioSpec.load(path)
 
 
-def resolve_spec(spec: ScenarioSpec | str) -> ScenarioSpec:
-    """Accept a spec instance or a preset name."""
-    if isinstance(spec, ScenarioSpec):
-        return spec
+def resolve_spec(
+    spec: ScenarioSpec | str,
+    *,
+    scale: float | None = None,
+    seed: int | None = None,
+    overrides: Mapping[str, Any] | None = None,
+) -> ScenarioSpec:
+    """Accept a spec instance or a preset name, then apply run overrides.
+
+    ``scale`` and ``seed`` are sugar for ``run.scale`` / ``run.seed``;
+    ``overrides`` (the CLI's ``--set`` map) applies last, so it wins.
+    This is the one path from a CLI invocation or registry runner to a
+    spec: there is no other scaling rule than the compiler's.
+    """
     if isinstance(spec, str):
-        return get_preset(spec)
-    raise ConfigError(
-        f"expected a ScenarioSpec or preset name, got {type(spec).__name__}"
-    )
+        spec = get_preset(spec)
+    elif not isinstance(spec, ScenarioSpec):
+        raise ConfigError(
+            f"expected a ScenarioSpec or preset name, got {type(spec).__name__}"
+        )
+    sugar = {
+        path: value
+        for path, value in (("run.scale", scale), ("run.seed", seed))
+        if value is not None
+    }
+    return spec.with_overrides({**sugar, **(overrides or {})})
 
 
 def build(spec: ScenarioSpec | str) -> CompiledScenario:
@@ -423,8 +442,7 @@ def train_fleet(
             assembly, env = _compile_fleet_env(resolved)
     rl = resolved.rl
     # run.scale shrinks the episode schedule along with the fleet and
-    # horizon, so a --scale'd preset run is cheap end to end (the flag
-    # shim resolves scale into explicit counts and keeps run.scale=1).
+    # horizon, so a --scale'd run is cheap end to end.
     train_episodes = scaled(rl.train_episodes, resolved.run.scale, minimum=2)
     eval_episodes = scaled(rl.eval_episodes, resolved.run.scale, minimum=1)
     seed = resolved.run.seed

@@ -6,28 +6,30 @@ Usage::
     ect-hub run table2 [--scale 1.0] [--seed 0] [--out results.json]
     ect-hub run-all [--scale 0.5] [--out results.json]
 
-    ect-hub fleet --n-hubs 200 [--days 14] [--scheduler rule-based]
+    ect-hub fleet --set fleet.n_hubs=200 [--set scheduler.name=greedy-renewable]
     ect-hub fleet --preset congested-city --set run.days=3
     ect-hub fleet --spec scenario.json --out results.json
     ect-hub fleet --preset congested-city --shards 8 --storage windowed
     ect-hub fleet --preset fleet-default --backend numba
 
-    ect-hub train-fleet --n-hubs 12 --episodes 100
+    ect-hub train-fleet --set fleet.n_hubs=12 --set rl.train_episodes=100
     ect-hub train-fleet --preset congested-city --set rl.train_episodes=50
 
-    ect-hub price --n-hubs 100 [--methods none,evening,ours,or,ips,dr]
+    ect-hub price --set fleet.n_hubs=100 [--methods none,evening,ours,or,ips,dr]
     ect-hub price --preset congested-city --set pricing.feeder_aware=true
 
     ect-hub presets [--show NAME] [--check]
     ect-hub sweep --preset fleet-default --param run.seed=0,1,2
     ect-hub sweep --spec sweep.json --out sweep.json
 
-``fleet`` accepts either the legacy engine flags (a shim that folds them
-into a :class:`~repro.spec.scenario.ScenarioSpec`) or a declarative
-scenario via ``--spec FILE`` / ``--preset NAME`` plus dotted ``--set
-key=value`` overrides. ``sweep`` expands a base spec × parameter grid and
-runs every job. ``--out PATH`` persists experiment ``data`` dicts as JSON
-so results can be diffed across runs and PRs.
+``fleet``, ``train-fleet`` and ``price`` each run one
+:class:`~repro.spec.scenario.ScenarioSpec`: ``--spec FILE`` or ``--preset
+NAME`` (default: the subcommand's own preset, ``fleet-default``,
+``train-fleet`` or ``fleet-price``), then ``--scale``/``--seed`` as
+``run.scale``/``run.seed``, then dotted ``--set key=value`` overrides.
+``sweep`` expands a base spec × parameter grid and runs every job.
+``--out PATH`` persists experiment ``data`` dicts as JSON so results can
+be diffed across runs and PRs.
 
 Observability: every subcommand takes ``-v/--verbose`` and ``-q/--quiet``
 (the :mod:`repro.telemetry.log` threshold); the run-shaped subcommands
@@ -45,8 +47,6 @@ import sys
 from .errors import ConfigError, ParallelError, ReproError
 from .experiments import available_experiments, run_experiment
 from .experiments.base import write_results_json
-from .fleet.grid import ALLOCATION_POLICIES
-from .fleet.schedulers import FLEET_SCHEDULERS
 from .spec import (
     ScenarioSpec,
     SweepSpec,
@@ -54,9 +54,6 @@ from .spec import (
     get_preset,
     parse_assignments,
     parse_override_value,
-    spec_from_fleet_flags,
-    spec_from_price_flags,
-    spec_from_train_fleet_flags,
     verify_roundtrips,
 )
 from .telemetry import (
@@ -140,47 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="batch-simulate an N-hub fleet (vectorized engine)",
         parents=[verbosity, telemetry_args],
     )
-    spec_g = fleet_p.add_argument_group("declarative scenario")
-    spec_g.add_argument(
-        "--spec", type=str, default=None, help="scenario spec JSON file"
-    )
-    spec_g.add_argument(
-        "--preset", type=str, default=None, help="named preset (see `presets`)"
-    )
-    spec_g.add_argument(
-        "--set",
-        dest="overrides",
-        action="append",
-        default=[],
-        metavar="KEY=VALUE",
-        help="dotted override, e.g. --set grid.feeder_capacity_kw=400",
-    )
-    flag_g = fleet_p.add_argument_group(
-        "engine flags (legacy shim; not combinable with --spec/--preset)"
-    )
-    flag_g.add_argument("--n-hubs", type=int, default=None)
-    flag_g.add_argument("--days", type=int, default=None)
-    flag_g.add_argument(
-        "--scheduler", choices=sorted(FLEET_SCHEDULERS), default=None
-    )
-    flag_g.add_argument(
-        "--n-feeders",
-        type=int,
-        default=None,
-        help="feeders hubs are round-robined over (shared-grid coupling)",
-    )
-    flag_g.add_argument(
-        "--feeder-capacity",
-        type=float,
-        default=None,
-        help="per-feeder import capacity in kW (default: unlimited/uncoupled)",
-    )
-    flag_g.add_argument(
-        "--allocation",
-        choices=list(ALLOCATION_POLICIES),
-        default=None,
-        help="contention policy when a feeder limit binds",
-    )
+    _add_scenario_args(fleet_p, "fleet-default", "grid.feeder_capacity_kw=400")
     fleet_p.add_argument(
         "--shards",
         type=int,
@@ -205,8 +162,6 @@ def build_parser() -> argparse.ArgumentParser:
         "back to numpy with a warning when the package is missing) "
         "(sugar for --set run.backend=...)",
     )
-    fleet_p.add_argument("--scale", type=float, default=None)
-    fleet_p.add_argument("--seed", type=int, default=None)
     fleet_p.add_argument("--out", type=str, default=None, help="write data as JSON")
 
     train_p = sub.add_parser(
@@ -214,40 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="train PPO on (n_hubs,) action batches over the fleet engine",
         parents=[verbosity, telemetry_args],
     )
-    train_spec_g = train_p.add_argument_group("declarative scenario")
-    train_spec_g.add_argument(
-        "--spec", type=str, default=None, help="scenario spec JSON file"
-    )
-    train_spec_g.add_argument(
-        "--preset", type=str, default=None, help="named preset (see `presets`)"
-    )
-    train_spec_g.add_argument(
-        "--set",
-        dest="overrides",
-        action="append",
-        default=[],
-        metavar="KEY=VALUE",
-        help="dotted override, e.g. --set rl.train_episodes=100",
-    )
-    train_flag_g = train_p.add_argument_group(
-        "schedule flags (shim; not combinable with --spec/--preset)"
-    )
-    train_flag_g.add_argument("--n-hubs", type=int, default=None)
-    train_flag_g.add_argument("--days", type=int, default=None)
-    train_flag_g.add_argument(
-        "--episodes",
-        type=int,
-        default=None,
-        help="PPO training episodes (one update per episode)",
-    )
-    train_flag_g.add_argument(
-        "--eval-episodes",
-        type=int,
-        default=None,
-        help="evaluation episodes before and after training",
-    )
-    train_p.add_argument("--scale", type=float, default=None)
-    train_p.add_argument("--seed", type=int, default=None)
+    _add_scenario_args(train_p, "train-fleet", "rl.train_episodes=100")
     train_p.add_argument("--out", type=str, default=None, help="write data as JSON")
 
     price_p = sub.add_parser(
@@ -255,51 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="compare discount pricing policies over one fleet (Table III)",
         parents=[verbosity, telemetry_args],
     )
-    price_spec_g = price_p.add_argument_group("declarative scenario")
-    price_spec_g.add_argument(
-        "--spec", type=str, default=None, help="scenario spec JSON file"
-    )
-    price_spec_g.add_argument(
-        "--preset", type=str, default=None, help="named preset (see `presets`)"
-    )
-    price_spec_g.add_argument(
-        "--set",
-        dest="overrides",
-        action="append",
-        default=[],
-        metavar="KEY=VALUE",
-        help="dotted override, e.g. --set pricing.discount_level=0.3",
-    )
-    price_flag_g = price_p.add_argument_group(
-        "pricing flags (shim; not combinable with --spec/--preset)"
-    )
-    price_flag_g.add_argument("--n-hubs", type=int, default=None)
-    price_flag_g.add_argument("--days", type=int, default=None)
-    price_flag_g.add_argument(
-        "--train-days",
-        type=int,
-        default=None,
-        help="simulated historical log length the policies train on",
-    )
-    price_flag_g.add_argument(
-        "--epochs",
-        type=int,
-        default=None,
-        help="ECT-Price training epochs (baselines split the same budget)",
-    )
-    price_flag_g.add_argument(
-        "--discount",
-        type=float,
-        default=None,
-        help="discount level in [0, 1) offered on selected hub-slots",
-    )
-    price_flag_g.add_argument(
-        "--feeder-capacity",
-        type=float,
-        default=None,
-        help="per-feeder import capacity in kW; also turns on feeder-aware "
-        "pricing (default: unlimited/uncoupled)",
-    )
+    _add_scenario_args(price_p, "fleet-price", "pricing.discount_level=0.3")
     price_p.add_argument(
         "--methods",
         type=str,
@@ -315,8 +193,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes, one method per job "
         "(0 = all cores; default: serial, byte-identical either way)",
     )
-    price_p.add_argument("--scale", type=float, default=None)
-    price_p.add_argument("--seed", type=int, default=None)
     price_p.add_argument("--out", type=str, default=None, help="write data as JSON")
 
     presets_p = sub.add_parser(
@@ -379,6 +255,37 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _add_scenario_args(
+    parser: argparse.ArgumentParser, default_preset: str, set_example: str
+) -> None:
+    """The ``--spec/--preset/--set`` group plus ``--scale/--seed`` sugar."""
+    group = parser.add_argument_group("scenario")
+    group.add_argument(
+        "--spec", type=str, default=None, help="scenario spec JSON file"
+    )
+    group.add_argument(
+        "--preset",
+        type=str,
+        default=None,
+        help=f"named preset (see `presets`; default: {default_preset})",
+    )
+    group.add_argument(
+        "--set",
+        dest="overrides",
+        action="append",
+        default=[],
+        metavar="KEY=VALUE",
+        help=f"dotted override, e.g. --set {set_example}",
+    )
+    group.add_argument(
+        "--scale", type=float, default=None, help="sugar for --set run.scale=S"
+    )
+    group.add_argument(
+        "--seed", type=int, default=None, help="sugar for --set run.seed=N"
+    )
+    parser.set_defaults(default_preset=default_preset)
+
+
 def main(argv: list[str] | None = None) -> int:
     """CLI main; returns the process exit code."""
     args = build_parser().parse_args(argv)
@@ -423,125 +330,23 @@ def _emit_telemetry(
         log.info(f"wrote {write_telemetry_json(record, sidecar)}")
 
 
-def _resolve_spec_args(
-    args: argparse.Namespace,
-    shim_flags: dict[str, object],
-    build_shim,
-    override_hint: str,
-) -> ScenarioSpec:
-    """Shared ``--spec/--preset/--set`` vs engine-flag resolution.
+def _scenario_spec(args: argparse.Namespace) -> ScenarioSpec:
+    """Resolve ``--spec``/``--preset``, ``--scale``/``--seed`` and ``--set``.
 
-    ``shim_flags`` maps flag spellings to parsed values (``None`` =
-    unset); declarative mode rejects any set flag with ``override_hint``
-    as the suggested ``--set`` replacement, flag mode calls
-    ``build_shim(scale, seed)`` to fold them into a spec.
+    Without ``--spec`` or ``--preset`` the subcommand's default preset is
+    the base; :func:`repro.api.resolve_spec` applies the rest.
     """
-    declarative = args.spec is not None or args.preset is not None
+    from .api import resolve_spec  # local for the same reason as in _dispatch
+
     if args.spec is not None and args.preset is not None:
         raise ConfigError("--spec and --preset are mutually exclusive")
-    if declarative:
-        used = sorted(
-            name for name, value in shim_flags.items() if value is not None
-        )
-        if used:
-            raise ConfigError(
-                f"{', '.join(used)} cannot be combined with --spec/--preset; "
-                f"use --set overrides instead (e.g. --set {override_hint})"
-            )
-        spec = (
-            ScenarioSpec.load(args.spec)
-            if args.spec is not None
-            else get_preset(args.preset)
-        )
-        sugar: dict[str, object] = {}
-        if args.scale is not None:
-            sugar["run.scale"] = args.scale
-        if args.seed is not None:
-            sugar["run.seed"] = args.seed
-        if sugar:
-            spec = spec.with_overrides(sugar)
-    else:
-        spec = build_shim(
-            scale=args.scale if args.scale is not None else 1.0,
-            seed=args.seed if args.seed is not None else 0,
-        )
-    if args.overrides:
-        spec = spec.with_overrides(parse_assignments(args.overrides))
-    return spec
-
-
-def _fleet_spec(args: argparse.Namespace) -> ScenarioSpec:
-    """Resolve the ``fleet`` subcommand's arguments into one spec."""
-    return _resolve_spec_args(
-        args,
-        {
-            "--n-hubs": args.n_hubs,
-            "--days": args.days,
-            "--scheduler": args.scheduler,
-            "--n-feeders": args.n_feeders,
-            "--feeder-capacity": args.feeder_capacity,
-            "--allocation": args.allocation,
-        },
-        lambda *, scale, seed: spec_from_fleet_flags(
-            scale=scale,
-            seed=seed,
-            n_hubs=args.n_hubs,
-            days=args.days,
-            scheduler=args.scheduler if args.scheduler is not None else "rule-based",
-            n_feeders=args.n_feeders if args.n_feeders is not None else 1,
-            feeder_capacity_kw=args.feeder_capacity,
-            allocation=args.allocation if args.allocation is not None else "proportional",
-        ),
-        "fleet.n_hubs=48",
-    )
-
-
-def _train_fleet_spec(args: argparse.Namespace) -> ScenarioSpec:
-    """Resolve the ``train-fleet`` subcommand's arguments into one spec."""
-    return _resolve_spec_args(
-        args,
-        {
-            "--n-hubs": args.n_hubs,
-            "--days": args.days,
-            "--episodes": args.episodes,
-            "--eval-episodes": args.eval_episodes,
-        },
-        lambda *, scale, seed: spec_from_train_fleet_flags(
-            scale=scale,
-            seed=seed,
-            n_hubs=args.n_hubs,
-            days=args.days,
-            train_episodes=args.episodes,
-            eval_episodes=args.eval_episodes,
-        ),
-        "rl.train_episodes=20",
-    )
-
-
-def _price_spec(args: argparse.Namespace) -> ScenarioSpec:
-    """Resolve the ``price`` subcommand's arguments into one spec."""
-    return _resolve_spec_args(
-        args,
-        {
-            "--n-hubs": args.n_hubs,
-            "--days": args.days,
-            "--train-days": args.train_days,
-            "--epochs": args.epochs,
-            "--discount": args.discount,
-            "--feeder-capacity": args.feeder_capacity,
-        },
-        lambda *, scale, seed: spec_from_price_flags(
-            scale=scale,
-            seed=seed,
-            n_hubs=args.n_hubs,
-            days=args.days,
-            train_days=args.train_days,
-            epochs=args.epochs,
-            discount_level=args.discount,
-            feeder_aware=args.feeder_capacity is not None,
-            feeder_capacity_kw=args.feeder_capacity,
-        ),
-        "pricing.discount_level=0.3",
+    return resolve_spec(
+        ScenarioSpec.load(args.spec)
+        if args.spec is not None
+        else args.preset or args.default_preset,
+        scale=args.scale,
+        seed=args.seed,
+        overrides=parse_assignments(args.overrides),
     )
 
 
@@ -585,6 +390,11 @@ def _sweep_spec(args: argparse.Namespace) -> SweepSpec:
         key, sep, values = raw.partition("=")
         if not sep or not key or not values:
             raise ConfigError(f"--param {raw!r} must look like key.path=v1,v2,...")
+        if key in parameters:
+            raise ConfigError(
+                f"--param {key} is given twice; list all its values in one "
+                f"axis (--param {key}=v1,v2,...)"
+            )
         parameters[key] = tuple(
             parse_override_value(value) for value in values.split(",")
         )
@@ -626,7 +436,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0
     if args.command == "fleet":
         telemetry = _telemetry_session(args)
-        spec = _fleet_spec(args)
+        spec = _scenario_spec(args)
         if args.storage is not None:
             spec = spec.with_overrides({"run.storage": args.storage})
         if args.backend is not None:
@@ -642,7 +452,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0
     if args.command == "train-fleet":
         telemetry = _telemetry_session(args)
-        result = api.train_fleet(_train_fleet_spec(args), telemetry=telemetry)
+        result = api.train_fleet(_scenario_spec(args), telemetry=telemetry)
         log.info(result.rendered())
         _emit_telemetry(telemetry, args)
         if args.out:
@@ -651,7 +461,7 @@ def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "price":
         telemetry = _telemetry_session(args)
         result = api.run_pricing(
-            _price_spec(args),
+            _scenario_spec(args),
             methods=_price_methods(args),
             jobs=args.jobs,
             telemetry=telemetry,

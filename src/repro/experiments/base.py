@@ -16,7 +16,8 @@ from typing import Any
 
 import numpy as np
 
-from ..errors import ExperimentError
+# The run-scale rule lives in the spec layer; the runners import it here.
+from ..spec.compiler import scaled  # noqa: F401
 
 
 def jsonable(value: Any) -> Any:
@@ -85,13 +86,6 @@ def write_results_json(
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return path
-
-
-def scaled(value: int, scale: float, *, minimum: int = 1) -> int:
-    """Scale an integer workload knob, clamped below by ``minimum``."""
-    if scale <= 0:
-        raise ExperimentError(f"scale must be positive, got {scale}")
-    return max(int(round(value * scale)), minimum)
 
 
 def series_line(name: str, values, *, per_line: int = 12, fmt: str = "{:.1f}") -> list[str]:

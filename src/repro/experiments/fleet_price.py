@@ -8,15 +8,14 @@ demand — one ``pricing.policy`` sweep over a shared
 :class:`~repro.spec.scenario.ScenarioSpec` — and the report compares
 network profit per method. Exposed on the CLI as ``ect-hub price``.
 
-Like ``fleet``, this runner is a *flag shim*: the keyword arguments fold
-into a spec whose ``pricing`` section
+The runner is the ``fleet-price`` preset, whose ``pricing`` section
 (:class:`~repro.spec.scenario.PricingSpec`) carries the training
-protocol and discount grid, executed by :func:`repro.api.run_pricing`.
+protocol and discount grid, with ``run.scale`` and ``run.seed`` applied
+and executed by :func:`repro.api.run_pricing`.
 """
 
 from __future__ import annotations
 
-from ..spec.compiler import spec_from_price_flags
 from .base import ExperimentResult
 
 
@@ -24,21 +23,16 @@ def run(
     *,
     scale: float = 1.0,
     seed: int = 0,
-    n_hubs: int | None = None,
-    days: int | None = None,
-    train_days: int | None = None,
-    epochs: int | None = None,
     methods: tuple[str, ...] | None = None,
     jobs: int | None = None,
     telemetry=None,
 ) -> ExperimentResult:
-    """Compare discount pricing policies over one batched fleet.
+    """Compare discount pricing policies over the ``fleet-price`` preset.
 
     ``scale`` shrinks the fleet, the horizon, and the training protocol
-    together (floors keep a scaled-down run trainable); the explicit
-    keywords pin individual knobs. ``jobs`` fans the methods out over
-    worker processes (byte-identical to serial). ``telemetry`` forwards
-    a :class:`~repro.telemetry.session.Telemetry` session to
+    together (the compiler's run-scale rule). ``jobs`` fans the methods
+    out over worker processes (byte-identical to serial). ``telemetry``
+    forwards a :class:`~repro.telemetry.session.Telemetry` session to
     ``api.run_pricing``.
     """
     # Local import: repro.api pulls experiments.base, so importing it at
@@ -46,14 +40,7 @@ def run(
     from .. import api
 
     return api.run_pricing(
-        spec_from_price_flags(
-            scale=scale,
-            seed=seed,
-            n_hubs=n_hubs,
-            days=days,
-            train_days=train_days,
-            epochs=epochs,
-        ),
+        api.resolve_spec("fleet-price", scale=scale, seed=seed),
         methods=methods,
         jobs=jobs,
         telemetry=telemetry,

@@ -3,64 +3,28 @@
 Beyond the paper's 12-hub evaluation: simulate an arbitrary-size fleet of
 heterogeneous urban/rural hubs in one :class:`~repro.fleet.FleetSimulation`
 run, reporting per-hub Eq. 12 profit and the network totals the Fig. 6
-"hub network" vision implies. Exposed on the CLI as
-``ect-hub fleet --n-hubs 200``.
+"hub network" vision implies. Exposed on the CLI as ``ect-hub fleet``
+(``--set fleet.n_hubs=200`` for a bigger fleet).
 
-Since the spec layer landed this runner is the *flag shim*: the keyword
-arguments are folded into a :class:`~repro.spec.scenario.ScenarioSpec`
-(:func:`~repro.spec.compiler.spec_from_fleet_flags`) and executed by
-:func:`repro.api.run`, so a flag-built run and its serialized-spec twin
-are the same run.
+The runner is the ``fleet-default`` preset with ``run.scale`` and
+``run.seed`` applied (:func:`repro.api.resolve_spec`), executed by
+:func:`repro.api.run` — the same path ``ect-hub fleet`` takes.
 """
 
 from __future__ import annotations
 
-from ..spec.compiler import DEFAULT_OUTAGE_PROBABILITY, spec_from_fleet_flags
-from ..spec.scenario import DEFAULT_DAYS, DEFAULT_N_HUBS
 from .base import ExperimentResult
 
-__all__ = [
-    # Re-exported from the spec layer, which owns the flag defaults now.
-    "DEFAULT_DAYS",
-    "DEFAULT_N_HUBS",
-    "DEFAULT_OUTAGE_PROBABILITY",
-    "run",
-]
 
+def run(*, scale: float = 1.0, seed: int = 0, telemetry=None) -> ExperimentResult:
+    """Batch-simulate the ``fleet-default`` preset at ``scale`` / ``seed``.
 
-def run(
-    *,
-    scale: float = 1.0,
-    seed: int = 0,
-    n_hubs: int | None = None,
-    days: int | None = None,
-    scheduler: str = "rule-based",
-    n_feeders: int = 1,
-    feeder_capacity_kw: float | None = None,
-    allocation: str = "proportional",
-    telemetry=None,
-) -> ExperimentResult:
-    """Batch-simulate a fleet and aggregate per-hub + network economics.
-
-    ``feeder_capacity_kw`` enables shared-grid coupling (see
-    :class:`~repro.fleet.FeederGroup`); the default is the uncoupled
-    one-infinite-feeder fleet. ``telemetry`` forwards a
-    :class:`~repro.telemetry.session.Telemetry` session to ``api.run``.
+    ``telemetry`` forwards a :class:`~repro.telemetry.session.Telemetry`
+    session to ``api.run``.
     """
     # Local import: repro.api pulls experiments.base, so importing it at
     # module level would cycle through the experiment registry.
     from .. import api
 
-    return api.run(
-        spec_from_fleet_flags(
-            scale=scale,
-            seed=seed,
-            n_hubs=n_hubs,
-            days=days,
-            scheduler=scheduler,
-            n_feeders=n_feeders,
-            feeder_capacity_kw=feeder_capacity_kw,
-            allocation=allocation,
-        ),
-        telemetry=telemetry,
-    )
+    spec = api.resolve_spec("fleet-default", scale=scale, seed=seed)
+    return api.run(spec, telemetry=telemetry)

@@ -8,34 +8,22 @@ for the whole fleet, every episode one PPO update over the
 trained policies on identical evaluation episodes and tracks the
 training-loop throughput. Exposed on the CLI as ``ect-hub train-fleet``.
 
-Like ``fleet``, this runner is a *flag shim*: the keyword arguments fold
-into a :class:`~repro.spec.scenario.ScenarioSpec` whose ``rl`` section
+The runner is the ``train-fleet`` preset, whose ``rl`` section
 (:class:`~repro.spec.scenario.RlSpec`) carries the episode shape and PPO
-hyperparameters, executed by :func:`repro.api.train_fleet` — so a
-flag-built training run and its serialized-spec twin are the same run.
+hyperparameters, with ``run.scale`` and ``run.seed`` applied and
+executed by :func:`repro.api.train_fleet`.
 """
 
 from __future__ import annotations
 
-from ..spec.compiler import spec_from_train_fleet_flags
 from .base import ExperimentResult
 
 
-def run(
-    *,
-    scale: float = 1.0,
-    seed: int = 0,
-    n_hubs: int | None = None,
-    days: int | None = None,
-    train_episodes: int | None = None,
-    eval_episodes: int | None = None,
-    telemetry=None,
-) -> ExperimentResult:
-    """Train and evaluate fleet PPO on the default training scenario.
+def run(*, scale: float = 1.0, seed: int = 0, telemetry=None) -> ExperimentResult:
+    """Train and evaluate fleet PPO on the ``train-fleet`` preset.
 
     ``scale`` shrinks the fleet, the horizon, and the episode schedule
-    together (floors keep a scaled-down run trainable); the explicit
-    keyword overrides pin individual knobs. ``telemetry`` forwards a
+    together (the compiler's run-scale rule). ``telemetry`` forwards a
     :class:`~repro.telemetry.session.Telemetry` session to
     ``api.train_fleet``.
     """
@@ -43,14 +31,5 @@ def run(
     # module level would cycle through the experiment registry.
     from .. import api
 
-    return api.train_fleet(
-        spec_from_train_fleet_flags(
-            scale=scale,
-            seed=seed,
-            n_hubs=n_hubs,
-            days=days,
-            train_episodes=train_episodes,
-            eval_episodes=eval_episodes,
-        ),
-        telemetry=telemetry,
-    )
+    spec = api.resolve_spec("train-fleet", scale=scale, seed=seed)
+    return api.train_fleet(spec, telemetry=telemetry)

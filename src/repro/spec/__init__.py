@@ -12,7 +12,7 @@ Layout
     overrides (``apply_overrides`` — the ``--set key=value`` language).
 ``compiler``
     ``build(spec)`` → :class:`~repro.spec.compiler.CompiledScenario`
-    (scenarios, batched engine, scheduler) and the legacy flag shim.
+    (scenarios, batched engine, scheduler) and the run-scale rule.
 ``presets``
     Named curated specs (``paper-default``, ``congested-city``, …).
 ``sweep``
@@ -28,9 +28,6 @@ from .compiler import (
     build_fleet_env,
     make_scheduler,
     ppo_config_from_spec,
-    spec_from_fleet_flags,
-    spec_from_price_flags,
-    spec_from_train_fleet_flags,
 )
 from .presets import PRESETS, available_presets, get_preset, verify_roundtrips
 from .scenario import (
@@ -75,8 +72,5 @@ __all__ = [
     "parse_assignments",
     "parse_override_value",
     "ppo_config_from_spec",
-    "spec_from_fleet_flags",
-    "spec_from_price_flags",
-    "spec_from_train_fleet_flags",
     "verify_roundtrips",
 ]

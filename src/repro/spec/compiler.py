@@ -36,35 +36,22 @@ from ..synth.catalog import HubSite, default_fleet
 from ..synth.charging import ChargingBehaviorModel, ChargingConfig
 from ..units import HOURS_PER_DAY
 from .scenario import (
-    DEFAULT_DAYS,
-    DEFAULT_N_HUBS,
-    BlackoutSpec,
     FleetSpec,
     GridSpec,
     HubGroupSpec,
-    PricingSpec,
-    RlSpec,
-    RunSpec,
     ScenarioSpec,
     SchedulerSpec,
 )
 
-#: Blackout intensity of the ``ect-hub fleet`` flag defaults.
-DEFAULT_OUTAGE_PROBABILITY = 0.001
+def scaled(value: int, scale: float, *, minimum: int = 1) -> int:
+    """Run-scale an integer knob: ``round(value * scale)``, floored at ``minimum``.
 
-#: ``ect-hub train-fleet`` flag defaults (scale-1 values).
-DEFAULT_TRAIN_FLEET_HUBS = 6
-DEFAULT_TRAIN_FLEET_DAYS = 10
-
-#: ``ect-hub price`` flag defaults (scale-1 values): the Table III
-#: reproduction at city scale — 100 hubs, one week of pricing.
-DEFAULT_PRICE_HUBS = 100
-DEFAULT_PRICE_DAYS = 7
-DEFAULT_PRICE_TRAIN_DAYS = 30
-
-
-def _scaled(value: int, scale: float, *, minimum: int = 1) -> int:
-    """Run-scale an integer knob (same rounding as experiments.base.scaled)."""
+    The one scaling rule of the codebase: the compiler sizes fleets and
+    horizons with it, the pricing and training schedules scale their
+    counts with it, and the experiment runners scale their workloads.
+    """
+    if scale <= 0:
+        raise ConfigError(f"scale must be positive, got {scale}")
     return max(int(round(value * scale)), minimum)
 
 
@@ -99,9 +86,9 @@ def _group_table(fleet: FleetSpec, scale: float) -> tuple[int, list[HubGroupSpec
     if fleet.groups:
         per_hub: list[HubGroupSpec | None] = []
         for group in fleet.groups:
-            per_hub.extend([group] * _scaled(group.count, scale, minimum=1))
+            per_hub.extend([group] * scaled(group.count, scale, minimum=1))
         return len(per_hub), per_hub
-    n_hubs = _scaled(fleet.resolved_n_hubs, scale, minimum=1)
+    n_hubs = scaled(fleet.resolved_n_hubs, scale, minimum=1)
     return n_hubs, [None] * n_hubs
 
 
@@ -310,7 +297,7 @@ def assemble_sites(
         )
     run = spec.run
     n_hubs, per_hub = _group_table(spec.fleet, run.scale)
-    days = _scaled(run.days, run.scale, minimum=1)
+    days = scaled(run.days, run.scale, minimum=1)
     horizon = days * HOURS_PER_DAY
     factory = RngFactory(seed=run.seed)
     sites = default_fleet(
@@ -582,172 +569,4 @@ def ppo_config_from_spec(spec: ScenarioSpec):
         batch_size=rl.batch_size,
         max_grad_norm=rl.max_grad_norm,
         hidden_sizes=rl.hidden_sizes,
-    )
-
-
-def spec_from_train_fleet_flags(
-    *,
-    scale: float = 1.0,
-    seed: int = 0,
-    n_hubs: int | None = None,
-    days: int | None = None,
-    train_episodes: int | None = None,
-    eval_episodes: int | None = None,
-) -> ScenarioSpec:
-    """One spec per ``ect-hub train-fleet`` invocation.
-
-    Resolves the scale-dependent defaults (6 hubs x 10 days, 40 training
-    / 5 evaluation episodes at scale 1) into explicit spec values — the
-    same shim pattern as :func:`spec_from_fleet_flags`, so a serialized
-    train-fleet spec replays the exact run the flags meant. The PPO
-    defaults lean myopic (``gamma=0.95``, light entropy) — battery
-    arbitrage credit spans hours, not the 30-day episode, and the short
-    smoke schedule learns measurably faster that way.
-    """
-    if scale <= 0:
-        raise ConfigError(f"scale must be positive, got {scale}")
-    return ScenarioSpec(
-        name="train-fleet",
-        description="flag-built fleet PPO training scenario",
-        fleet=FleetSpec(
-            n_hubs=(
-                n_hubs
-                if n_hubs is not None
-                else _scaled(DEFAULT_TRAIN_FLEET_HUBS, scale, minimum=2)
-            )
-        ),
-        blackout=BlackoutSpec(
-            outage_probability_per_hour=DEFAULT_OUTAGE_PROBABILITY,
-            recovery_time_h=4,
-        ),
-        run=RunSpec(
-            days=(
-                days
-                if days is not None
-                else _scaled(DEFAULT_TRAIN_FLEET_DAYS, scale, minimum=3)
-            ),
-            seed=seed,
-        ),
-        rl=RlSpec(
-            episode_days=5,
-            gamma=0.95,
-            entropy_coef=0.005,
-            train_episodes=(
-                train_episodes
-                if train_episodes is not None
-                else _scaled(40, scale, minimum=2)
-            ),
-            eval_episodes=(
-                eval_episodes
-                if eval_episodes is not None
-                else _scaled(5, scale, minimum=1)
-            ),
-        ),
-    )
-
-
-def spec_from_price_flags(
-    *,
-    scale: float = 1.0,
-    seed: int = 0,
-    n_hubs: int | None = None,
-    days: int | None = None,
-    train_days: int | None = None,
-    epochs: int | None = None,
-    discount_level: float | None = None,
-    feeder_aware: bool = False,
-    n_feeders: int = 1,
-    feeder_capacity_kw: float | None = None,
-) -> ScenarioSpec:
-    """One spec per ``ect-hub price`` invocation (Table III at city scale).
-
-    Resolves the scale-dependent defaults (100 hubs x 7 days, a 30-day
-    training log at scale 1) into explicit spec values — the same shim
-    pattern as :func:`spec_from_fleet_flags`, so a serialized price spec
-    replays the exact run the flags meant. The base policy is ``"ours"``
-    (ECT-Price); :func:`repro.api.run_pricing` sweeps ``pricing.policy``
-    over the compared methods on top of this base.
-    """
-    if scale <= 0:
-        raise ConfigError(f"scale must be positive, got {scale}")
-    return ScenarioSpec(
-        name="price",
-        description="flag-built fleet pricing scenario",
-        fleet=FleetSpec(
-            n_hubs=(
-                n_hubs
-                if n_hubs is not None
-                else _scaled(DEFAULT_PRICE_HUBS, scale, minimum=2)
-            )
-        ),
-        grid=GridSpec(
-            n_feeders=n_feeders,
-            feeder_capacity_kw=feeder_capacity_kw,
-        ),
-        run=RunSpec(
-            days=(
-                days
-                if days is not None
-                else _scaled(DEFAULT_PRICE_DAYS, scale, minimum=2)
-            ),
-            seed=seed,
-        ),
-        pricing=PricingSpec(
-            policy="ours",
-            train_days=(
-                train_days
-                if train_days is not None
-                else _scaled(DEFAULT_PRICE_TRAIN_DAYS, scale, minimum=7)
-            ),
-            epochs=(
-                epochs if epochs is not None else _scaled(30, scale, minimum=2)
-            ),
-            discount_level=(
-                discount_level if discount_level is not None else 0.2
-            ),
-            feeder_aware=feeder_aware,
-        ),
-    )
-
-
-def spec_from_fleet_flags(
-    *,
-    scale: float = 1.0,
-    seed: int = 0,
-    n_hubs: int | None = None,
-    days: int | None = None,
-    scheduler: str = "rule-based",
-    n_feeders: int = 1,
-    feeder_capacity_kw: float | None = None,
-    allocation: str = "proportional",
-) -> ScenarioSpec:
-    """The flag-shim: one spec per legacy ``ect-hub fleet`` invocation.
-
-    Resolves the old CLI's scale-dependent defaults (24 hubs / 14 days at
-    scale 1, floors of 4 and 7) into explicit spec values, so the returned
-    spec — serialized or not — rebuilds exactly the run the flags meant.
-    """
-    if scale <= 0:
-        raise ConfigError(f"scale must be positive, got {scale}")
-    resolved_hubs = (
-        n_hubs if n_hubs is not None else _scaled(DEFAULT_N_HUBS, scale, minimum=4)
-    )
-    resolved_days = (
-        days if days is not None else _scaled(DEFAULT_DAYS, scale, minimum=7)
-    )
-    return ScenarioSpec(
-        name="fleet",
-        description="legacy flag-built fleet scenario",
-        fleet=FleetSpec(n_hubs=resolved_hubs),
-        grid=GridSpec(
-            n_feeders=n_feeders,
-            feeder_capacity_kw=feeder_capacity_kw,
-            allocation=allocation,
-        ),
-        scheduler=SchedulerSpec(name=scheduler),
-        blackout=BlackoutSpec(
-            outage_probability_per_hour=DEFAULT_OUTAGE_PROBABILITY,
-            recovery_time_h=4,
-        ),
-        run=RunSpec(days=resolved_days, seed=seed),
     )

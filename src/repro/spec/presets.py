@@ -18,6 +18,8 @@ from .scenario import (
     FleetSpec,
     GridSpec,
     HubGroupSpec,
+    PricingSpec,
+    RlSpec,
     RunSpec,
     ScenarioSpec,
     SchedulerSpec,
@@ -130,6 +132,41 @@ PRESETS: dict[str, ScenarioSpec] = {
             ),
             run=RunSpec(days=14, voll_per_kwh=2.0),
         ),
+        ScenarioSpec(
+            name="train-fleet",
+            description=(
+                "the ect-hub train-fleet default: fleet PPO over 6 hubs x "
+                "10 days on 5-day episodes, 40 training / 5 evaluation "
+                "episodes"
+            ),
+            fleet=FleetSpec(n_hubs=6),
+            blackout=BlackoutSpec(outage_probability_per_hour=0.001),
+            run=RunSpec(days=10),
+            # Myopic PPO (gamma 0.95, light entropy): battery arbitrage
+            # credit spans hours, not the episode, and the short smoke
+            # schedule learns measurably faster that way.
+            rl=RlSpec(
+                episode_days=5,
+                gamma=0.95,
+                entropy_coef=0.005,
+                train_episodes=40,
+                eval_episodes=5,
+            ),
+        ),
+        ScenarioSpec(
+            name="fleet-price",
+            description=(
+                "the ect-hub price default: Table III at city scale, "
+                "ECT-Price over 100 hubs x 7 days trained on a 30-day log"
+            ),
+            fleet=FleetSpec(n_hubs=100),
+            run=RunSpec(days=7),
+            # run_pricing sweeps pricing.policy over the compared methods
+            # on top of this ECT-Price base.
+            pricing=PricingSpec(
+                policy="ours", train_days=30, epochs=30, discount_level=0.2
+            ),
+        ),
     )
 }
 
@@ -152,9 +189,11 @@ def verify_roundtrips(*, build_specs: bool = False) -> list[str]:
     """Assert every preset survives ``to_dict → json → from_dict`` intact.
 
     With ``build_specs=True`` each round-tripped preset is also compiled
-    (sites, traces, feeders, engine) — the CI smoke check. Returns the
-    verified preset names; raises :class:`ConfigError` on the first
-    preset that fails to round-trip.
+    (sites, traces, feeders, engine) — the CI smoke check. The fleet is
+    compiled at its zero-discount baseline: a ``pricing`` section trains
+    a discount model, which is a run (``ect-hub price``), not a compile.
+    Returns the verified preset names; raises :class:`ConfigError` on
+    the first preset that fails to round-trip.
     """
     verified: list[str] = []
     for name in available_presets():
@@ -165,6 +204,6 @@ def verify_roundtrips(*, build_specs: bool = False) -> list[str]:
         if build_specs:
             from .compiler import build
 
-            build(rebuilt)
+            build(rebuilt.with_overrides({"pricing.policy": "none"}))
         verified.append(name)
     return verified

@@ -44,7 +44,7 @@ from ..causal import (
 )
 from ..errors import ConfigError
 from ..rng import RngFactory
-from .compiler import FleetAssembly, _scaled
+from .compiler import FleetAssembly, scaled
 
 #: Constituent NCF models per baseline method. This deliberately mirrors
 #: ``repro.experiments.pricing_common.MODELS_PER_METHOD`` (keep them in
@@ -160,8 +160,8 @@ def compile_pricing(
     elif pricing.policy == "evening":
         policy = EveningHeuristicPolicy()
     else:
-        train_days = _scaled(pricing.train_days, scale, minimum=7)
-        epochs = _scaled(pricing.epochs, scale, minimum=2)
+        train_days = scaled(pricing.train_days, scale, minimum=7)
+        epochs = scaled(pricing.epochs, scale, minimum=2)
         with _span(
             telemetry,
             "pricing-train",

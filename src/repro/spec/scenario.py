@@ -42,6 +42,19 @@ DEFAULT_N_HUBS = 24
 DEFAULT_DAYS = 14
 
 
+def _check_int(label: str, value: Any, *, minimum: int) -> None:
+    """Reject an integer field that is not an ``int`` ``>= minimum``.
+
+    ``bool`` is an ``int`` subclass but never a count, and a float such
+    as ``1.5`` would be recorded as given yet simulated rounded, so both
+    fail here; ``label`` names the field in the error.
+    """
+    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
+        raise ConfigError(
+            f"{label} must be an integer >= {minimum}, got {value!r}"
+        )
+
+
 @dataclass(frozen=True)
 class HubGroupSpec:
     """Overrides for one contiguous group of hubs (heterogeneous fleets).
@@ -78,8 +91,7 @@ class HubGroupSpec:
     always_scale: float | None = None
 
     def __post_init__(self) -> None:
-        if self.count <= 0:
-            raise ConfigError(f"group count must be positive, got {self.count}")
+        _check_int("group count", self.count, minimum=1)
         if self.kind is not None and self.kind not in ("urban", "rural"):
             raise ConfigError(
                 f"group kind must be 'urban' or 'rural', got {self.kind!r}"
@@ -92,10 +104,8 @@ class HubGroupSpec:
             raise ConfigError(
                 f"group traffic_scale must be positive, got {self.traffic_scale}"
             )
-        if self.n_base_stations is not None and self.n_base_stations <= 0:
-            raise ConfigError(
-                f"group n_base_stations must be positive, got {self.n_base_stations}"
-            )
+        if self.n_base_stations is not None:
+            _check_int("group n_base_stations", self.n_base_stations, minimum=1)
         if self.battery is not None and self.battery_scale is not None:
             raise ConfigError(
                 "group battery and battery_scale are mutually exclusive"
@@ -108,10 +118,8 @@ class HubGroupSpec:
             raise ConfigError(
                 f"group c_bp_per_slot must be non-negative, got {self.c_bp_per_slot}"
             )
-        if self.feeder is not None and self.feeder < 0:
-            raise ConfigError(
-                f"group feeder must be non-negative, got {self.feeder}"
-            )
+        if self.feeder is not None:
+            _check_int("group feeder", self.feeder, minimum=0)
         for name in ("incentive_scale", "always_scale"):
             value = getattr(self, name)
             if value is not None and (not math.isfinite(value) or value <= 0):
@@ -158,8 +166,8 @@ class FleetSpec:
                     f"fleet groups must hold HubGroupSpec entries, got "
                     f"{type(group).__name__}"
                 )
-        if self.n_hubs is not None and self.n_hubs <= 0:
-            raise ConfigError(f"n_hubs must be positive, got {self.n_hubs}")
+        if self.n_hubs is not None:
+            _check_int("n_hubs", self.n_hubs, minimum=1)
         if groups and self.n_hubs is not None:
             total = sum(group.count for group in groups)
             if total != self.n_hubs:
@@ -201,8 +209,7 @@ class GridSpec:
     allocation: str = "proportional"
 
     def __post_init__(self) -> None:
-        if self.n_feeders <= 0:
-            raise ConfigError(f"n_feeders must be positive, got {self.n_feeders}")
+        _check_int("n_feeders", self.n_feeders, minimum=1)
         capacity = self.feeder_capacity_kw
         if capacity is not None and (math.isnan(capacity) or capacity < 0):
             raise ConfigError(
@@ -296,10 +303,7 @@ class BlackoutSpec:
                 f"outage_probability_per_hour must be in [0, 1], got "
                 f"{self.outage_probability_per_hour}"
             )
-        if self.recovery_time_h < 0:
-            raise ConfigError(
-                f"recovery_time_h must be non-negative, got {self.recovery_time_h}"
-            )
+        _check_int("recovery_time_h", self.recovery_time_h, minimum=0)
 
 
 #: Discount policies the pricing section may name. ``none`` keeps the
@@ -361,10 +365,7 @@ class PricingSpec:
                 f"{self.budget_fraction}"
             )
         for name in ("train_days", "epochs", "batch_size"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(
-                    f"pricing {name} must be positive, got {getattr(self, name)}"
-                )
+            _check_int(f"pricing {name}", getattr(self, name), minimum=1)
         if not (
             math.isfinite(self.learning_rate) and self.learning_rate > 0
         ):
@@ -425,10 +426,7 @@ class RlSpec:
         # stack) just to validate — plain spec builds stay lightweight.
         for name in ("episode_days", "window_h", "train_episodes",
                      "eval_episodes", "update_epochs", "batch_size"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(
-                    f"rl {name} must be positive, got {getattr(self, name)}"
-                )
+            _check_int(f"rl {name}", getattr(self, name), minimum=1)
         for name in ("reward_scale", "learning_rate", "max_grad_norm"):
             if getattr(self, name) <= 0:
                 raise ConfigError(
@@ -500,13 +498,8 @@ class RunSpec:
     backend: str = "numpy"
 
     def __post_init__(self) -> None:
-        if self.days <= 0:
-            raise ConfigError(f"days must be positive, got {self.days}")
-        if not isinstance(self.shards, int) or isinstance(self.shards, bool) \
-                or self.shards < 1:
-            raise ConfigError(
-                f"shards must be an integer >= 1, got {self.shards!r}"
-            )
+        _check_int("days", self.days, minimum=1)
+        _check_int("shards", self.shards, minimum=1)
         if self.storage not in STORAGE_MODES:
             raise ConfigError(
                 f"unknown run storage {self.storage!r}; "

@@ -23,8 +23,8 @@ Typical use::
     print("\\n".join(tele.summary_lines()))
     write_telemetry_json(result.telemetry, "trace.json")
 
-or on the CLI: ``ect-hub fleet --n-hubs 100 --telemetry --trace-out
-trace.json``.
+or on the CLI: ``ect-hub fleet --set fleet.n_hubs=100 --telemetry
+--trace-out trace.json``.
 """
 
 from . import log

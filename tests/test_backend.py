@@ -33,14 +33,15 @@ from repro.cli import main
 from repro.errors import ConfigError
 from repro.experiments.base import jsonable, write_results_json
 from repro.spec import SweepSpec, available_presets, get_preset
-from repro.spec.compiler import build, spec_from_fleet_flags
+from repro.spec.compiler import build
 from repro.spec.scenario import BACKENDS, RunSpec, ScenarioSpec
 from repro.telemetry import Telemetry
 
 
 def base_spec(**overrides) -> ScenarioSpec:
-    spec = spec_from_fleet_flags(n_hubs=8, days=2)
-    return spec.with_overrides(overrides) if overrides else spec
+    return get_preset("fleet-default").with_overrides(
+        {"fleet.n_hubs": 8, "run.days": 2, **overrides}
+    )
 
 
 def export_bytes(result, tmp_path, name) -> bytes:
@@ -165,8 +166,10 @@ class TestSpecBackendField:
 
 
 def preset_for_equivalence(name: str) -> ScenarioSpec:
-    """Every preset, shortened to 2 days so the full matrix stays fast."""
-    return get_preset(name).with_overrides({"run.days": 2})
+    """Every preset, shortened (2 days, 7-day/2-epoch pricing) to stay fast."""
+    return get_preset(name).with_overrides(
+        {"run.days": 2, "pricing.train_days": 7, "pricing.epochs": 2}
+    )
 
 
 class TestCrossBackendEquivalence:

@@ -2,10 +2,17 @@
 
 from __future__ import annotations
 
+import functools
+import json
+import subprocess
+import sys
+from importlib.metadata import EntryPoint
+from pathlib import Path
+
 import pytest
 
 from repro.cli import main
-from repro.errors import ExperimentError
+from repro.errors import ConfigError, ExperimentError
 from repro.experiments import available_experiments, run_experiment
 from repro.experiments.base import ExperimentResult, scaled, series_line
 
@@ -43,7 +50,7 @@ class TestBaseHelpers:
     def test_scaled(self):
         assert scaled(100, 0.5) == 50
         assert scaled(100, 0.001, minimum=3) == 3
-        with pytest.raises(ExperimentError):
+        with pytest.raises(ConfigError):
             scaled(100, 0.0)
 
     def test_series_line_wraps(self):
@@ -106,6 +113,22 @@ class TestCli:
     def test_run_with_scale_seed(self, capsys):
         assert main(["run", "fig1", "--scale", "0.2", "--seed", "7"]) == 0
         assert "road" in capsys.readouterr().out
+
+    def test_setup_py_installs_the_ect_hub_command(self):
+        """``setup.py`` names the package and maps ``ect-hub`` to
+        ``repro.cli:main``, read in a subprocess without installing."""
+        root = Path(__file__).resolve().parents[1]
+        run = functools.partial(subprocess.check_output, cwd=root, text=True)
+        assert run([sys.executable, "setup.py", "--name"]).strip() == "ect-hub"
+        capture = (
+            "import json, runpy, setuptools; kw = {}; "
+            "setuptools.setup = lambda **k: kw.update(k); "
+            "runpy.run_path('setup.py'); print(json.dumps(kw['entry_points']))"
+        )
+        (script,) = json.loads(run([sys.executable, "-c", capture]))["console_scripts"]
+        name, value = (part.strip() for part in script.split("="))
+        assert name == "ect-hub"
+        assert EntryPoint(name, value, "console_scripts").load() is main
 
     def test_bad_experiment_rejected_by_parser(self):
         with pytest.raises(SystemExit):

@@ -462,12 +462,9 @@ class TestFleetExperimentCli:
             main(
                 [
                     "fleet",
-                    "--n-hubs",
-                    "5",
-                    "--days",
-                    "7",
-                    "--scheduler",
-                    "idle",
+                    "--set", "fleet.n_hubs=5",
+                    "--set", "run.days=7",
+                    "--set", "scheduler.name=idle",
                     "--out",
                     str(out),
                 ]
@@ -481,9 +478,9 @@ class TestFleetExperimentCli:
         assert len(payload["data"]["profit_per_hub"]) == 5
 
     def test_cli_reports_library_errors_cleanly(self, capsys):
-        assert main(["fleet", "--n-hubs", "0"]) == 1
+        assert main(["fleet", "--set", "fleet.n_hubs=0"]) == 1
         err = capsys.readouterr().err
-        assert "n_hubs must be positive" in err and "Traceback" not in err
+        assert "n_hubs must be an integer >= 1" in err and "Traceback" not in err
 
     def test_cli_run_with_out(self, tmp_path, capsys):
         out = tmp_path / "fig5.json"
@@ -780,16 +777,11 @@ class TestCongestion:
             main(
                 [
                     "fleet",
-                    "--n-hubs",
-                    "6",
-                    "--days",
-                    "7",
-                    "--n-feeders",
-                    "2",
-                    "--feeder-capacity",
-                    "120",
-                    "--allocation",
-                    "priority",
+                    "--set", "fleet.n_hubs=6",
+                    "--set", "run.days=7",
+                    "--set", "grid.n_feeders=2",
+                    "--set", "grid.feeder_capacity_kw=120",
+                    "--set", "grid.allocation=priority",
                     "--out",
                     str(out),
                 ]

@@ -35,7 +35,7 @@ from repro.spec import (
     RlSpec,
     RunSpec,
     ScenarioSpec,
-    spec_from_train_fleet_flags,
+    get_preset,
 )
 
 N_HOURS = 24 * 12
@@ -422,9 +422,9 @@ class TestFleetTraining:
 class TestTrainFleetExperiment:
     @pytest.fixture(scope="class")
     def result(self):
-        # The seeded smoke run of the acceptance criterion: scale-1
-        # defaults, seed 0 — fully deterministic end to end.
-        return api.train_fleet(spec_from_train_fleet_flags())
+        # The seeded smoke run of the acceptance criterion: the scale-1
+        # train-fleet preset, seed 0 — fully deterministic end to end.
+        return api.train_fleet("train-fleet")
 
     def test_smoke_run_improves_over_untrained_policy(self, result):
         assert result.data["improvement"] > 0.0
@@ -443,23 +443,23 @@ class TestTrainFleetExperiment:
         assert "train-fleet" in result.rendered()
 
     def test_spec_round_trips_through_rl_section(self):
-        spec = spec_from_train_fleet_flags(scale=0.5, seed=3)
+        spec = api.resolve_spec("train-fleet", scale=0.5, seed=3)
         rebuilt = ScenarioSpec.from_json(spec.to_json())
         assert rebuilt == spec
-        assert rebuilt.rl.train_episodes == 20
+        assert rebuilt.rl.train_episodes == 40 and rebuilt.run.scale == 0.5
         override = spec.with_overrides({"rl.train_episodes": 7})
         assert override.rl.train_episodes == 7
 
     def test_scaled_run_clamps_episode_to_horizon(self):
-        spec = spec_from_train_fleet_flags(scale=0.25)
+        spec = api.resolve_spec("train-fleet", scale=0.25)
         _, env = api.build_fleet_env(spec)
-        # 3-day horizon < the 5-day episode default => clamped.
-        assert env.episode_length == 3 * 24
+        # 2-day horizon (10 days x 0.25, rounded half to even) < the
+        # preset's 5-day episode => clamped.
+        assert env.episode_length == 2 * 24
 
     def test_run_scale_shrinks_declarative_schedule(self):
-        """--scale on a preset/spec must shrink the PPO schedule too,
-        matching what the flag shim resolves at build time."""
-        spec = spec_from_train_fleet_flags().with_overrides({"run.scale": 0.1})
+        """--scale must shrink the PPO schedule along with the fleet."""
+        spec = api.resolve_spec("train-fleet", scale=0.1)
         result = api.train_fleet(spec)
         assert result.data["train_episodes"] == 4  # 40 x 0.1
         assert result.data["eval_episodes"] == 1
@@ -470,8 +470,9 @@ class TestTrainFleetExperiment:
 
         out = tmp_path / "tf.json"
         code = main(
-            ["train-fleet", "--n-hubs", "2", "--days", "3",
-             "--episodes", "2", "--eval-episodes", "1", "--out", str(out)]
+            ["train-fleet", "--set", "fleet.n_hubs=2", "--set", "run.days=3",
+             "--set", "rl.train_episodes=2", "--set", "rl.eval_episodes=1",
+             "--out", str(out)]
         )
         assert code == 0
         printed = capsys.readouterr().out
@@ -485,16 +486,6 @@ class TestTrainFleetExperiment:
         # The embedded spec replays the run.
         assert payload["data"]["spec"]["rl"]["train_episodes"] == 2
 
-    def test_cli_flags_rejected_with_preset(self, capsys):
-        from repro.cli import main
-
-        code = main(
-            ["train-fleet", "--preset", "fleet-default", "--episodes", "5"]
-        )
-        assert code == 1
-        err = capsys.readouterr().err
-        assert "--episodes" in err and "--set" in err
-
     def test_cli_spec_and_preset_mutually_exclusive(self, capsys):
         from repro.cli import main
 
@@ -505,8 +496,9 @@ class TestTrainFleetExperiment:
         from repro.cli import main
 
         spec_path = tmp_path / "spec.json"
-        spec_from_train_fleet_flags(
-            n_hubs=2, days=3, train_episodes=2, eval_episodes=1
+        get_preset("train-fleet").with_overrides(
+            {"fleet.n_hubs": 2, "run.days": 3,
+             "rl.train_episodes": 2, "rl.eval_episodes": 1}
         ).save(spec_path)
         code = main(
             ["train-fleet", "--spec", str(spec_path),

@@ -43,7 +43,7 @@ from repro.spec import (
     build,
     get_preset,
 )
-from repro.spec.compiler import _assemble_fleet, spec_from_price_flags
+from repro.spec.compiler import _assemble_fleet
 from repro.spec.pricing import compile_pricing, congestion_signal
 
 ATOL = 1e-9
@@ -445,8 +445,8 @@ class TestRunPricing:
 
     def test_table3_at_city_scale(self):
         # The acceptance bar: the fleet path prices >= 100 hubs end to end.
-        spec = spec_from_price_flags(
-            n_hubs=100, days=2, train_days=7, epochs=2
+        spec = get_preset("fleet-price").with_overrides(
+            {"run.days": 2, "pricing.train_days": 7, "pricing.epochs": 2}
         )
         result = api.run_pricing(spec, methods=("none", "evening", "ours"))
         assert result.data["n_hubs"] == 100
@@ -522,10 +522,10 @@ class TestPriceCli:
         code = main(
             [
                 "price",
-                "--n-hubs", "3",
-                "--days", "2",
-                "--train-days", "7",
-                "--epochs", "2",
+                "--set", "fleet.n_hubs=3",
+                "--set", "run.days=2",
+                "--set", "pricing.train_days=7",
+                "--set", "pricing.epochs=2",
                 "--methods", "none,evening",
                 "--out", str(out),
             ]
@@ -535,11 +535,8 @@ class TestPriceCli:
         assert payload["data"]["n_hubs"] == 3
         assert set(payload["data"]["per_method"]) == {"none", "evening"}
 
-    def test_price_flags_conflict_with_preset(self, capsys):
-        assert main(["price", "--preset", "fleet-default", "--n-hubs", "5"]) == 1
-
     def test_bad_methods_fail_cleanly(self, capsys):
-        assert main(["price", "--n-hubs", "2", "--methods", "bogus"]) == 1
+        assert main(["price", "--set", "fleet.n_hubs=2", "--methods", "bogus"]) == 1
 
     def test_fleet_price_experiment_registered(self, capsys):
         from repro.experiments import run_experiment

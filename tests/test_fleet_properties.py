@@ -296,18 +296,10 @@ class TestDeterminism:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["fleet", "--n-hubs", "5", "--days", "7", "--scheduler", "random"],
-            [
-                "fleet",
-                "--n-hubs",
-                "6",
-                "--days",
-                "7",
-                "--n-feeders",
-                "2",
-                "--feeder-capacity",
-                "130",
-            ],
+            ["fleet", "--set", "fleet.n_hubs=5", "--set", "run.days=7",
+             "--set", "scheduler.name=random"],
+            ["fleet", "--set", "fleet.n_hubs=6", "--set", "run.days=7",
+             "--set", "grid.n_feeders=2", "--set", "grid.feeder_capacity_kw=130"],
             ["run", "fleet-grid", "--scale", "0.25"],
         ],
     )

@@ -21,14 +21,18 @@ from repro.errors import ConfigError, ParallelError
 from repro.experiments.base import write_results_json
 from repro.fleet.schedulers import FleetIdleScheduler
 from repro.parallel import resolve_chunk_size, resolve_jobs
-from repro.spec import SweepSpec
-from repro.spec.compiler import spec_from_fleet_flags
+from repro.spec import SweepSpec, get_preset
+
+
+def fleet_base(n_hubs: int, days: int):
+    return get_preset("fleet-default").with_overrides(
+        {"fleet.n_hubs": n_hubs, "run.days": days}
+    )
 
 
 def small_sweep(n_jobs: int = 4, *, n_hubs: int = 5, days: int = 2) -> SweepSpec:
-    base = spec_from_fleet_flags(n_hubs=n_hubs, days=days)
     return SweepSpec(
-        base=base,
+        base=fleet_base(n_hubs, days),
         parameters={"run.seed": tuple(range(n_jobs))},
         name="parallel-test",
     )
@@ -157,7 +161,7 @@ class TestSerialParallelEquivalence:
 
 class TestWorkerFailure:
     def test_failure_names_the_job_and_its_overrides(self):
-        base = spec_from_fleet_flags(n_hubs=5, days=2)
+        base = fleet_base(5, 2)
         sweep = SweepSpec(
             base=base,
             # 3 feeders compiles; 999 feeders for 5 hubs fails in the
@@ -175,7 +179,7 @@ class TestWorkerFailure:
     def test_failure_inside_a_chunk_names_the_right_job(self):
         """With several jobs per chunk, the *offset* job is named, the
         completed jobs before it are not blamed."""
-        base = spec_from_fleet_flags(n_hubs=5, days=2)
+        base = fleet_base(5, 2)
         sweep = SweepSpec(
             base=base,
             parameters={"grid.n_feeders": (1, 2, 999, 3)},
@@ -198,7 +202,7 @@ class TestWorkerAssemblyCache:
         from repro.spec.compiler import assembly_fingerprint
 
         parallel._WORKER_ASSEMBLY = None
-        base = spec_from_fleet_flags(n_hubs=4, days=2)
+        base = fleet_base(4, 2)
         first = parallel._cached_assembly(base)
         same_fleet = base.with_overrides({"scheduler.name": "idle"})
         assert parallel._cached_assembly(same_fleet) is first
@@ -213,7 +217,7 @@ class TestWorkerAssemblyCache:
         from repro import parallel
 
         parallel._WORKER_ASSEMBLY = None
-        base = spec_from_fleet_flags(n_hubs=4, days=2)
+        base = fleet_base(4, 2)
         first = parallel._cached_assembly(base)
         reseeded = base.with_overrides({"run.seed": 7})
         assert parallel._cached_assembly(reseeded) is not first
@@ -224,7 +228,7 @@ class TestWorkerAssemblyCache:
         from repro import parallel
 
         parallel._WORKER_ASSEMBLY = None
-        base = spec_from_fleet_flags(n_hubs=4, days=2)
+        base = fleet_base(4, 2)
         variant = base.with_overrides({"scheduler.name": "greedy-renewable"})
         cold = api.run(variant)
         warm = api.run(variant, assembly=parallel._cached_assembly(base))
@@ -238,8 +242,8 @@ class TestWorkerAssemblyCache:
     def test_mismatched_assembly_rejected(self):
         from repro.spec.compiler import _assemble_fleet, build
 
-        base = spec_from_fleet_flags(n_hubs=4, days=2)
-        other = spec_from_fleet_flags(n_hubs=5, days=2)
+        base = fleet_base(4, 2)
+        other = fleet_base(5, 2)
         with pytest.raises(ConfigError, match="cached assembly"):
             build(other, assembly=_assemble_fleet(base))
 

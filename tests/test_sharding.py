@@ -28,13 +28,14 @@ from repro.experiments.base import write_results_json
 from repro.fleet.costs import FleetCostBook
 from repro.fleet.grid import FeederGroup
 from repro.fleet.sharding import ShardTask, plan_shards, run_shard
-from repro.spec.compiler import spec_from_fleet_flags
+from repro.spec import get_preset
 from repro.spec.scenario import RunSpec, ScenarioSpec
 
 
 def base_spec(**overrides) -> ScenarioSpec:
-    spec = spec_from_fleet_flags(n_hubs=10, days=2)
-    return spec.with_overrides(overrides) if overrides else spec
+    return get_preset("fleet-default").with_overrides(
+        {"fleet.n_hubs": 10, "run.days": 2, **overrides}
+    )
 
 
 def export_bytes(result, tmp_path, name) -> bytes:

@@ -6,8 +6,8 @@ The load-bearing guarantees:
 * every preset survives ``to_dict → json → from_dict`` bit-identically
   and still *builds*;
 * unknown keys anywhere in a spec payload raise :class:`ConfigError`;
-* the legacy flag shim (``ect-hub fleet --n-hubs …``) and its spec-built
-  twin produce identical results;
+* ``fleet``/``train-fleet``/``price`` without ``--preset`` run their
+  default preset, byte-identical to naming it (one run-scale rule);
 * a heterogeneous-fleet spec (per-hub battery/feeder overrides) runs
   through ``repro.api.run`` with results reproduced byte-identically from
   its serialized JSON.
@@ -38,7 +38,6 @@ from repro.spec import (
     build,
     get_preset,
     parse_assignments,
-    spec_from_fleet_flags,
     verify_roundtrips,
 )
 
@@ -113,7 +112,7 @@ class TestUnknownKeys:
             ScenarioSpec.from_dict(payload)
 
     def test_group_level_unknown_key_raises(self):
-        payload = HETERO_SPEC.to_dict()
+        payload = json.loads(HETERO_SPEC.to_json())
         payload["fleet"]["groups"][0]["battery_size"] = 2.0
         with pytest.raises(ConfigError, match="unknown key"):
             ScenarioSpec.from_dict(payload)
@@ -177,6 +176,37 @@ class TestValidation:
         )
         with pytest.raises(ConfigError, match="feeder 3 out of range"):
             build(spec)
+
+
+INT_FIELDS = (
+    "fleet.groups.0.count fleet.groups.0.n_base_stations fleet.groups.0.feeder "
+    "fleet.n_hubs grid.n_feeders blackout.recovery_time_h pricing.train_days "
+    "pricing.epochs pricing.batch_size rl.episode_days rl.window_h "
+    "rl.train_episodes rl.eval_episodes rl.update_epochs rl.batch_size "
+    "run.days run.shards"
+).split()
+
+
+@pytest.mark.parametrize("path", INT_FIELDS)
+def test_int_fields_reject_bools_fractions_and_strings(tmp_path, capsys, path):
+    """A bool, fraction, string or negative int in an int field is a
+    ConfigError naming the field, from ``--set`` and from a spec file
+    alike (a fraction would be exported as given but simulated rounded)."""
+    from repro.cli import main
+
+    base, bad = tmp_path / "base.json", tmp_path / "bad.json"
+    HETERO_SPEC.save(base)
+    *parents, leaf = path.split(".")
+    for raw, value in (("true", True), ("1.5", 1.5), ("abc", "abc"), ("-1", -1)):
+        assert main(["fleet", "--spec", str(base), "--set", f"{path}={raw}"]) == 1
+        assert f"{leaf} must be an integer" in capsys.readouterr().err
+        payload = node = json.loads(HETERO_SPEC.to_json())
+        for key in parents:
+            node = node[int(key)] if isinstance(node, list) else node[key]
+        node[leaf] = value
+        bad.write_text(json.dumps(payload))
+        with pytest.raises(ConfigError, match=f"{leaf} must be an integer"):
+            ScenarioSpec.load(bad)
 
 
 class TestOverrides:
@@ -273,23 +303,6 @@ class TestSweep:
 
 
 class TestCompiler:
-    def test_default_spec_matches_flag_shim_fleet(self):
-        """A spec-built fleet and the legacy flag path are the same run."""
-        from repro.experiments.fleet_sim import run as run_fleet
-
-        flag_result = run_fleet(n_hubs=6, days=3, seed=5, scheduler="greedy-renewable")
-        spec = spec_from_fleet_flags(
-            n_hubs=6, days=3, seed=5, scheduler="greedy-renewable"
-        )
-        spec_result = api.run(spec)
-        assert jsonable(flag_result.data) == jsonable(spec_result.data)
-
-    def test_flag_shim_scale_defaults(self):
-        spec = spec_from_fleet_flags(scale=0.5)
-        assert spec.fleet.n_hubs == 12 and spec.run.days == 7
-        tiny = spec_from_fleet_flags(scale=0.01)
-        assert tiny.fleet.n_hubs == 4 and tiny.run.days == 7  # legacy floors
-
     def test_run_scale_applies_to_groups(self):
         spec = HETERO_SPEC.with_overrides({"run.scale": 0.5})
         compiled = build(spec)
@@ -409,12 +422,6 @@ class TestCliSpecMode:
         assert main(["fleet", "--spec", str(path)]) == 0
         assert "6 hubs x 1 days" in capsys.readouterr().out
 
-    def test_fleet_rejects_spec_plus_engine_flags(self, capsys):
-        from repro.cli import main
-
-        assert main(["fleet", "--preset", "paper-default", "--n-hubs", "4"]) == 1
-        assert "--set overrides" in capsys.readouterr().err
-
     def test_fleet_rejects_spec_plus_preset(self, capsys):
         from repro.cli import main
 
@@ -472,24 +479,27 @@ class TestCliSpecMode:
         assert main(["sweep", "--param", "run.seed=0,1"]) == 1
         assert "exactly one" in capsys.readouterr().err
 
-    def test_flag_shim_cli_matches_spec_cli(self, tmp_path):
-        """The satellite guarantee: flag runs == their spec-built twins."""
+    def test_sweep_rejects_repeated_param(self, capsys):
         from repro.cli import main
 
-        flag_out = tmp_path / "flags.json"
-        spec_out = tmp_path / "spec.json"
-        spec_path = tmp_path / "scenario.json"
-        spec_from_fleet_flags(n_hubs=5, days=2, seed=3, scheduler="idle").save(
-            spec_path
-        )
-        assert (
-            main(
-                [
-                    "fleet", "--n-hubs", "5", "--days", "2", "--seed", "3",
-                    "--scheduler", "idle", "--out", str(flag_out),
-                ]
-            )
-            == 0
-        )
-        assert main(["fleet", "--spec", str(spec_path), "--out", str(spec_out)]) == 0
-        assert flag_out.read_bytes() == spec_out.read_bytes()
+        argv = ["sweep", "--preset", "fleet-default",
+                "--param", "run.seed=1,2", "--param", "run.seed=3"]
+        assert main(argv) == 1
+        assert "--param run.seed is given twice" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, preset, extra", [
+        ("fleet", "fleet-default", []),
+        ("train-fleet", "train-fleet", []),
+        ("price", "fleet-price", ["--methods", "none,evening,ours"]),
+    ])
+    def test_default_preset_matches_explicit_preset(
+        self, tmp_path, command, preset, extra
+    ):
+        """A bare ``--scale`` run is its default preset at that run.scale."""
+        from repro.cli import main
+
+        paths = [tmp_path / "bare.json", tmp_path / "explicit.json"]
+        for path, named in zip(paths, ([], ["--preset", preset])):
+            argv = [command, *named, "--scale", "0.1", *extra, "--out", str(path)]
+            assert main(argv) == 0
+        assert paths[0].read_bytes() == paths[1].read_bytes()

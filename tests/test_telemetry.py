@@ -25,8 +25,7 @@ import pytest
 from repro import api
 from repro.cli import main
 from repro.errors import ConfigError, ParallelError
-from repro.spec import SweepSpec
-from repro.spec.compiler import spec_from_fleet_flags, spec_from_train_fleet_flags
+from repro.spec import SweepSpec, get_preset
 from repro.telemetry import (
     HistogramStats,
     MetricsRegistry,
@@ -250,7 +249,9 @@ class TestRunMetadata:
 
 
 def fleet_spec(**overrides):
-    return spec_from_fleet_flags(n_hubs=6, days=2, **overrides)
+    return get_preset("fleet-default").with_overrides(
+        {"fleet.n_hubs": 6, "run.days": 2, **overrides}
+    )
 
 
 class TestApiRunTelemetry:
@@ -299,7 +300,7 @@ class TestApiRunTelemetry:
     def test_congestion_counters_on_a_coupled_fleet(self):
         telemetry = Telemetry()
         result = api.run(
-            fleet_spec(n_feeders=2, feeder_capacity_kw=30.0),
+            fleet_spec(**{"grid.n_feeders": 2, "grid.feeder_capacity_kw": 30.0}),
             telemetry=telemetry,
         )
         counters = result.telemetry["counters"]
@@ -372,7 +373,7 @@ def doomed_sweep() -> SweepSpec:
     # 999 feeders for 5 hubs compiles past SweepSpec validation but
     # fails inside the worker (same trigger as test_parallel.py).
     return SweepSpec(
-        base=spec_from_fleet_flags(n_hubs=5, days=2),
+        base=fleet_spec(**{"fleet.n_hubs": 5}),
         parameters={"grid.n_feeders": (3, 999)},
         name="doomed",
     )
@@ -414,13 +415,18 @@ class TestWorkerTraceback:
 # --------------------------------------------------------------------- #
 
 
+def train_spec(**overrides):
+    return get_preset("train-fleet").with_overrides(
+        {"fleet.n_hubs": 3, "run.days": 2, "rl.train_episodes": 2,
+         "rl.eval_episodes": 1, **overrides}
+    )
+
+
 class TestTrainFleetTelemetry:
     @pytest.fixture(scope="class")
     def trained(self):
         telemetry = Telemetry()
-        spec = spec_from_train_fleet_flags(
-            n_hubs=3, days=2, train_episodes=2, eval_episodes=1
-        )
+        spec = train_spec()
         result = api.train_fleet(spec, telemetry=telemetry)
         return result, telemetry
 
@@ -462,18 +468,14 @@ class TestTrainFleetTelemetry:
     def test_seeded_rl_metrics_deterministic(self):
         def run_once():
             telemetry = Telemetry()
-            spec = spec_from_train_fleet_flags(
-                n_hubs=3, days=2, train_episodes=2, eval_episodes=1, seed=7
-            )
+            spec = train_spec(**{"run.seed": 7})
             api.train_fleet(spec, telemetry=telemetry)
             return telemetry.to_dict()["rl"]
 
         assert json.dumps(run_once()) == json.dumps(run_once())
 
     def test_training_identical_with_and_without_telemetry(self):
-        spec = spec_from_train_fleet_flags(
-            n_hubs=3, days=2, train_episodes=2, eval_episodes=1
-        )
+        spec = train_spec()
         plain = api.train_fleet(spec)
         traced = api.train_fleet(spec, telemetry=Telemetry())
         assert json.dumps(plain.to_json_dict(), sort_keys=True) == json.dumps(
@@ -486,7 +488,7 @@ class TestTrainFleetTelemetry:
 # --------------------------------------------------------------------- #
 
 
-FLEET_ARGV = ["fleet", "--n-hubs", "5", "--days", "2"]
+FLEET_ARGV = ["fleet", "--set", "fleet.n_hubs=5", "--set", "run.days=2"]
 
 
 class TestCliTelemetry:
