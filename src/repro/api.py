@@ -37,18 +37,22 @@ import numpy as np
 from .backend import get_backend
 from .errors import ConfigError
 from .experiments.base import ExperimentResult
+from .fleet.costs import FleetCostBook
+from .fleet.sharding import ShardTask, plan_shards
 from .rng import RngFactory
 from .spec.compiler import (
     CompiledScenario,
+    _assemble_fleet,
+    assemble_sites,
     build as _compile,
     build_fleet_env as _compile_fleet_env,
     ppo_config_from_spec,
     scaled,
 )
 from .spec.presets import get_preset
-from .spec.scenario import PRICING_POLICIES, ScenarioSpec
+from .spec.scenario import PRICING_POLICIES, ScenarioSpec, _check_int
 from .spec.sweep import SweepSpec
-from .telemetry import Telemetry, log
+from .telemetry import Telemetry, log, optional_span
 
 
 def load_spec(path: str | Path) -> ScenarioSpec:
@@ -114,18 +118,14 @@ def run(
     the sweep workers' seam.
     """
     resolved = resolve_spec(spec)
-    n_shards = resolved.run.shards if shards is None else int(shards)
-    if n_shards < 1:
-        raise ConfigError(f"shards must be >= 1, got {n_shards}")
+    n_shards = resolved.run.shards if shards is None else shards
+    _check_int("shards", n_shards, minimum=1)
     if n_shards > 1:
         return _run_sharded(resolved, n_shards, telemetry=telemetry)
-    if telemetry is None:
-        compiled = _compile(resolved, assembly=assembly)
-        simulation = compiled.simulation
-    else:
-        with telemetry.span("compile", scenario=resolved.name):
-            compiled = _compile(resolved, telemetry=telemetry, assembly=assembly)
-        simulation = compiled.simulation
+    with optional_span(telemetry, "compile", scenario=resolved.name):
+        compiled = _compile(resolved, telemetry=telemetry, assembly=assembly)
+    simulation = compiled.simulation
+    if telemetry is not None:
         simulation.attach_telemetry(telemetry)
         with telemetry.span("reset"):
             simulation.reset()
@@ -139,11 +139,8 @@ def run(
     )
 
     start = time.perf_counter()
-    if telemetry is None:
+    with optional_span(telemetry, "step", slots=simulation.horizon):
         book = compiled.execute()
-    else:
-        with telemetry.span("step", slots=simulation.horizon):
-            book = compiled.execute()
     elapsed = time.perf_counter() - start
 
     return _fleet_result(
@@ -172,13 +169,9 @@ def _run_sharded(
     and planning cost. Pricing runs are the exception: the discount
     plane couples all hubs through the training log, so the parent
     compiles pricing over the full assembly once and ships each shard
-    its pre-sliced discount rows; the shards then bypass their own
-    ``pricing`` section via the explicit schedule.
+    its pre-sliced discount rows (a shard never compiles pricing).
     """
-    from .fleet.costs import FleetCostBook
-    from .fleet.sharding import ShardTask, plan_shards
     from .parallel import _available_cpus, run_shards_parallel
-    from .spec.compiler import _assemble_fleet, assemble_sites
 
     sites, _, feeders, n_hubs, days, horizon = assemble_sites(resolved)
     windowed = resolved.run.storage == "windowed"
@@ -188,13 +181,9 @@ def _run_sharded(
     if resolved.pricing.policy != "none":
         from .spec.pricing import compile_pricing
 
-        if telemetry is None:
+        with optional_span(telemetry, "compile", scenario=resolved.name):
             assembly = _assemble_fleet(resolved)
-            pricing_compiled = compile_pricing(assembly)
-        else:
-            with telemetry.span("compile", scenario=resolved.name):
-                assembly = _assemble_fleet(resolved)
-                pricing_compiled = compile_pricing(assembly, telemetry=telemetry)
+            pricing_compiled = compile_pricing(assembly, telemetry=telemetry)
         discount_rows = assembly.discount_rows(pricing_compiled.discount)
 
     # Windowed books can only merge feeder-closed shards, so unlimited
@@ -225,19 +214,14 @@ def _run_sharded(
     shard_results = run_shards_parallel(tasks, workers)
     elapsed = time.perf_counter() - start
 
-    def merge() -> FleetCostBook:
-        return FleetCostBook.merge_shards(
+    with optional_span(telemetry, "shard-merge", shards=len(tasks)):
+        book = FleetCostBook.merge_shards(
             [r.book for r in shard_results],
             [r.hub_indices for r in shard_results],
             feeders=feeders,
             voll_per_kwh=resolved.run.voll_per_kwh,
         )
-
-    if telemetry is None:
-        book = merge()
-    else:
-        with telemetry.span("shard-merge", shards=len(tasks)):
-            book = merge()
+    if telemetry is not None:
         telemetry.set_workers(workers)
         # Absorb in shard order so counters stay byte-identical run to
         # run whatever the completion order was.
@@ -383,20 +367,45 @@ def _fleet_result(
         data=data,
         lines=lines,
     )
-    if telemetry is not None:
-        # Book the end-of-run aggregates the live engine hooks cannot see
-        # (feeder-slot congestion rolls hub columns up per feeder), then
-        # snapshot the session onto the result. Counters are
-        # deterministic; only the timings/gauges vary run to run.
-        metrics = telemetry.metrics
-        metrics.set_gauge("engine.hub_slots_per_sec", throughput)
-        metrics.inc("engine.congested_feeder_slots", book.congested_feeder_slots)
-        metrics.inc("engine.unserved_kwh", book.total_unserved_kwh)
-        metrics.inc("runs")
-        # The *resolved* backend (a "numba" spec without the package
-        # records the numpy fallback it actually ran on).
-        telemetry.set_backend(get_backend(resolved.run.backend).name)
-        result.telemetry = telemetry.to_dict()
+    # Book the end-of-run aggregates the live engine hooks cannot see
+    # (feeder-slot congestion rolls hub columns up per feeder).
+    return _stamp_telemetry(
+        result,
+        telemetry,
+        resolved,
+        gauges={"engine.hub_slots_per_sec": throughput},
+        counters={
+            "engine.congested_feeder_slots": book.congested_feeder_slots,
+            "engine.unserved_kwh": book.total_unserved_kwh,
+            "runs": 1,
+        },
+    )
+
+
+def _stamp_telemetry(
+    result: ExperimentResult,
+    telemetry: Telemetry | None,
+    resolved: ScenarioSpec,
+    *,
+    gauges: Mapping[str, float] | None = None,
+    counters: Mapping[str, float],
+) -> ExperimentResult:
+    """Book a finished run's closing metrics and snapshot the session.
+
+    The shared tail of every entry point: without a session the result
+    passes through untouched. Counters are deterministic; only the
+    timings/gauges vary run to run. The recorded backend is the
+    *resolved* one (a "numba" spec without the package records the numpy
+    fallback it actually ran on).
+    """
+    if telemetry is None:
+        return result
+    for name, value in (gauges or {}).items():
+        telemetry.metrics.set_gauge(name, value)
+    for name, value in counters.items():
+        telemetry.metrics.inc(name, value)
+    telemetry.set_backend(get_backend(resolved.run.backend).name)
+    result.telemetry = telemetry.to_dict()
     return result
 
 
@@ -435,11 +444,8 @@ def train_fleet(
     from .rl.training import evaluate_fleet_agent, train_fleet_ppo
 
     resolved = resolve_spec(spec)
-    if telemetry is None:
+    with optional_span(telemetry, "compile", scenario=resolved.name):
         assembly, env = _compile_fleet_env(resolved)
-    else:
-        with telemetry.span("compile", scenario=resolved.name):
-            assembly, env = _compile_fleet_env(resolved)
     rl = resolved.rl
     # run.scale shrinks the episode schedule along with the fleet and
     # horizon, so a --scale'd run is cheap end to end.
@@ -458,11 +464,7 @@ def train_fleet(
         # A fresh, identically-seeded episode stream per evaluation pass
         # keeps the before/after comparison on identical traces.
         env.reseed(RngFactory(seed=seed).stream("rl/eval"))
-        if telemetry is None:
-            return evaluate_fleet_agent(
-                env, agent, episodes=eval_episodes, greedy=greedy
-            )
-        with telemetry.span("eval", greedy=greedy):
+        with optional_span(telemetry, "eval", greedy=greedy):
             return evaluate_fleet_agent(
                 env, agent, episodes=eval_episodes, greedy=greedy
             )
@@ -472,15 +474,10 @@ def train_fleet(
 
     env.reseed(factory.stream("rl/train"))
     start = time.perf_counter()
-    if telemetry is None:
+    with optional_span(telemetry, "train", episodes=train_episodes):
         agent, history = train_fleet_ppo(
-            env, episodes=train_episodes, agent=agent
+            env, episodes=train_episodes, agent=agent, telemetry=telemetry
         )
-    else:
-        with telemetry.span("train", episodes=train_episodes):
-            agent, history = train_fleet_ppo(
-                env, episodes=train_episodes, agent=agent, telemetry=telemetry
-            )
     elapsed = time.perf_counter() - start
     hub_slots = train_episodes * env.episode_length * env.n_hubs
     throughput = hub_slots / elapsed if elapsed > 0 else float("inf")
@@ -539,15 +536,17 @@ def train_fleet(
         data=data,
         lines=lines,
     )
-    if telemetry is not None:
-        metrics = telemetry.metrics
-        metrics.set_gauge("rl.train_hub_slots_per_sec", throughput)
-        metrics.inc("rl.train_episodes", train_episodes)
-        metrics.inc("rl.train_transitions", hub_slots)
-        metrics.inc("runs")
-        telemetry.set_backend(get_backend(resolved.run.backend).name)
-        result.telemetry = telemetry.to_dict()
-    return result
+    return _stamp_telemetry(
+        result,
+        telemetry,
+        resolved,
+        gauges={"rl.train_hub_slots_per_sec": throughput},
+        counters={
+            "rl.train_episodes": train_episodes,
+            "rl.train_transitions": hub_slots,
+            "runs": 1,
+        },
+    )
 
 
 def run_sweep(
@@ -734,8 +733,6 @@ def run_pricing(
         data=data,
         lines=lines,
     )
-    if telemetry is not None:
-        telemetry.metrics.inc("pricing.methods", len(methods))
-        telemetry.set_backend(get_backend(resolved.run.backend).name)
-        result.telemetry = telemetry.to_dict()
-    return result
+    return _stamp_telemetry(
+        result, telemetry, resolved, counters={"pricing.methods": len(methods)}
+    )

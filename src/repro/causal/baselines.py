@@ -209,6 +209,11 @@ class DoublyRobust(UpliftModel):
         )
 
 
+#: Constituent NCF models per baseline method under the equal-total-compute
+#: protocol: a method's training epochs are split across its models.
+MODELS_PER_METHOD = {"OR": 2, "IPS": 3, "DR": 4}
+
+
 def make_baseline(
     name: str,
     n_stations: int,

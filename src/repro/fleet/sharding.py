@@ -112,63 +112,29 @@ def run_shard(task: ShardTask) -> ShardResult:
     """Compile and step one shard; runs inside a worker process.
 
     Reproduces rows ``task.hub_indices`` of the unsharded fleet
-    bit-for-bit: the shard assembly draws the same name-keyed streams,
-    the random scheduler is fed global hub indices for its stream names,
+    bit-for-bit: ``compiler.build(hub_indices=...)`` draws the same
+    name-keyed streams, feeds the random scheduler global hub indices,
     and the engine's per-hub arithmetic is row-local (feeder coupling is
-    shard-local by construction of :func:`plan_shards`).
+    shard-local by construction of :func:`plan_shards`). The shard's
+    discount plane is ``task.discount_rows``, or zero when it has none.
     """
     # Lazy imports: the spec compiler imports fleet submodules at load
     # time, so a module-scope import here would be circular.
-    from ..rng import RngFactory
-    from ..spec.compiler import _assemble_fleet, make_scheduler
+    from ..spec.compiler import build
     from ..spec.scenario import ScenarioSpec
-    from .builder import fleet_simulation_from_scenarios
+    from ..telemetry import Telemetry, optional_span
 
-    telemetry = None
-    if task.with_telemetry:
-        from ..telemetry import Telemetry
-
-        telemetry = Telemetry(include_meta=False)
-
+    telemetry = Telemetry(include_meta=False) if task.with_telemetry else None
     spec = ScenarioSpec.from_json(task.spec_json)
-    run = spec.run
     hub_indices = np.asarray(task.hub_indices)
-
-    def compile_shard():
-        assembly = _assemble_fleet(spec, hub_indices=hub_indices)
-        discount_rows = assembly.discount_rows(task.discount_rows)
-        occupied = assembly.realize_occupancy(discount_rows)
-        simulation = fleet_simulation_from_scenarios(
-            assembly.scenarios,
-            occupied,
-            discount_rows,
-            outage=assembly.outage,
-            initial_soc_fraction=run.initial_soc_fraction,
-            feeders=assembly.feeders,
-            voll_per_kwh=run.voll_per_kwh,
-            storage=run.storage,
-            # Workers rebuild from the parent's spec JSON, so the shard
-            # engine inherits (and re-resolves) the parent's backend.
-            backend=run.backend,
-        )
-        scheduler = make_scheduler(
-            spec.scheduler,
-            n_hubs=assembly.n_hubs,
-            rng_factory=RngFactory(seed=run.seed),
-            hub_ids=[int(i) for i in hub_indices],
-        )
-        return simulation, scheduler
-
+    with optional_span(telemetry, "shard-compile", shard=task.shard_index):
+        compiled = build(spec, hub_indices=hub_indices, discount=task.discount_rows)
     if telemetry is not None:
-        with telemetry.span("shard-compile", shard=task.shard_index):
-            simulation, scheduler = compile_shard()
-        simulation.attach_telemetry(telemetry)
-        with telemetry.span("shard-step", shard=task.shard_index):
-            book = simulation.run(scheduler)
-        telemetry.metrics.inc("shard_hubs", simulation.n_hubs)
-    else:
-        simulation, scheduler = compile_shard()
-        book = simulation.run(scheduler)
+        compiled.simulation.attach_telemetry(telemetry)
+    with optional_span(telemetry, "shard-step", shard=task.shard_index):
+        book = compiled.execute()
+    if telemetry is not None:
+        telemetry.metrics.inc("shard_hubs", compiled.n_hubs)
 
     return ShardResult(
         shard_index=task.shard_index,

@@ -1,4 +1,4 @@
-"""Process-parallel execution: sweep job chunks and intra-scenario shards.
+"""Process-parallel execution: one pool runner for sweeps and shards.
 
 ``api.run_sweep`` grids are embarrassingly parallel — every job is an
 independent :class:`~repro.spec.scenario.ScenarioSpec`, and PR 3 made
@@ -12,32 +12,37 @@ parallel sweep is **byte-identical** to its serial twin — results are
 re-ordered by job index before they are returned, so even the ``--out``
 JSON matches byte for byte (test-enforced).
 
-Two executors live here:
+One runner, :func:`run_pool`, executes all of it: it maps a picklable
+function over batches of items, one pool task per batch, and returns
+the results flat and in order. Two thin callers shape the batches:
 
-* :func:`run_jobs_parallel` — the sweep executor. Jobs are submitted in
-  **chunks** (many jobs per worker task) so a large grid pays one
-  submit/result round-trip per chunk instead of per job, and each worker
-  process keeps a one-slot :func:`assembly cache <_cached_assembly>`:
-  consecutive jobs in a chunk that share a fleet/grid/blackout
-  fingerprint (the common sweep shape — vary scheduler or pricing knobs
-  over one fleet) skip re-synthesising hub traces entirely.
-* :func:`run_shards_parallel` — the city-scale shard runner. One
-  scenario's hubs are partitioned by :func:`~repro.fleet.sharding.
+* :func:`run_jobs_parallel` — sweeps. Jobs ride in **chunks** (many jobs
+  per batch) so a large grid pays one submit/result round-trip per chunk
+  instead of per job, and each worker process keeps a one-slot
+  :func:`assembly cache <_cached_assembly>`: consecutive jobs that share
+  a fleet/grid/blackout fingerprint (the common sweep shape — vary
+  scheduler or pricing knobs over one fleet) skip re-synthesising hub
+  traces entirely.
+* :func:`run_shards_parallel` — city-scale shards, one batch per shard.
+  One scenario's hubs are partitioned by :func:`~repro.fleet.sharding.
   plan_shards`; each worker compiles and steps its shard
   (:func:`~repro.fleet.sharding.run_shard`) and the parent merges the
-  books. Shard results are ordered by shard index.
+  books.
 
 Guarantees:
 
-* deterministic result ordering by job index, whatever finishes first;
+* deterministic result ordering, whatever finishes first;
+* a single batch (or a single worker) runs in-process — no pool, no
+  pickling;
 * ``jobs=0`` resolves to this process's CPU *affinity* set where the
   platform reports one (``os.sched_getaffinity``), falling back to
   ``os.cpu_count()`` — so container/cgroup-limited runs stop
   oversubscribing their quota;
-* a failing job raises :class:`~repro.errors.ParallelError` naming the
-  job's overrides (so a 100-job grid tells you *which* point died), with
-  the worker's original exception chained as ``__cause__`` and the
-  worker's formatted traceback carried as ``.job_traceback`` (captured
+* the first failure cancels the batches not yet started and raises
+  :class:`~repro.errors.ParallelError` naming the job's overrides or the
+  shard (so a 100-job grid tells you *which* point died), with the
+  worker's original exception chained as ``__cause__`` and the worker's
+  formatted traceback carried as ``.job_traceback`` (captured
   worker-side — the remote stack does not survive pickling otherwise);
 * the pool never outlives the call (context-managed, failures included);
 * with ``with_telemetry=True`` each worker runs its job under a
@@ -54,32 +59,21 @@ serial. The sweet spot is many jobs x non-trivial horizons — see the
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import os
 import pickle
 import traceback
 from concurrent.futures import ProcessPoolExecutor, as_completed
+from typing import Callable
 
-from .errors import ConfigError, ParallelError
+from .errors import ParallelError
 from .experiments.base import ExperimentResult
+from .fleet.sharding import ShardResult, ShardTask, run_shard
+from .spec.scenario import ScenarioSpec, _check_int
 from .spec.sweep import SweepJob
-from .telemetry import log
-
-
-def _remote_traceback(error: BaseException) -> str:
-    """The failing worker's formatted traceback.
-
-    ``concurrent.futures`` re-raises worker exceptions in the parent with
-    the remote stack attached as a ``_RemoteTraceback`` cause (the real
-    traceback object cannot be pickled). Fall back to formatting the
-    exception locally if that private chain ever changes shape.
-    """
-    cause = getattr(error, "__cause__", None)
-    if type(cause).__name__ == "_RemoteTraceback":
-        return str(cause).strip().strip('"').strip()
-    return "".join(
-        traceback.format_exception(type(error), error, error.__traceback__)
-    ).strip()
+from .telemetry import Telemetry, log
 
 
 def _available_cpus() -> int:
@@ -104,9 +98,7 @@ def resolve_jobs(jobs: int | None) -> int:
     """
     if jobs is None:
         return 1
-    jobs = int(jobs)
-    if jobs < 0:
-        raise ConfigError(f"jobs must be >= 0 (0 = all cores), got {jobs}")
+    _check_int("jobs", jobs, minimum=0)
     if jobs == 0:
         return _available_cpus()
     return jobs
@@ -122,9 +114,7 @@ def resolve_chunk_size(
     the per-worker assembly cache consecutive same-fleet jobs to hit on.
     """
     if chunk_size is not None:
-        chunk_size = int(chunk_size)
-        if chunk_size < 1:
-            raise ConfigError(f"chunk_size must be >= 1, got {chunk_size}")
+        _check_int("chunk_size", chunk_size, minimum=1)
         return chunk_size
     return max(1, math.ceil(n_jobs / (workers * 4)))
 
@@ -163,44 +153,96 @@ def _run_payload(payload: str, with_telemetry: bool = False) -> ExperimentResult
     inherit the parent's array backend (and fall back identically where
     the optional numba package is missing).
     """
-    # Local imports keep the worker bootstrap light under spawn-style
-    # start methods (under fork they are already-cached module lookups).
+    # Local import: ``repro.api`` imports this module.
     from . import api
-    from .spec.scenario import ScenarioSpec
-    from .telemetry import Telemetry
 
     spec = ScenarioSpec.from_json(payload)
     telemetry = Telemetry(include_meta=False) if with_telemetry else None
     return api.run(spec, telemetry=telemetry, assembly=_cached_assembly(spec))
 
 
-def _run_payload_chunk(
-    payloads: list[str], with_telemetry: bool = False
-) -> tuple[list[ExperimentResult], tuple[int, BaseException, str] | None]:
-    """Worker entry point for a chunk of jobs.
+def _format_traceback(error: BaseException) -> str:
+    return "".join(traceback.format_exception(error)).strip()
+
+
+def _run_batch(fn: Callable, items: list) -> tuple[list, tuple | None]:
+    """One pool task: ``fn`` over ``items`` in order, failures as values.
 
     Returns ``(results, failure)`` where ``failure`` is ``None`` or
-    ``(offset_in_chunk, original_error, formatted_traceback)`` for the
-    first job that raised — jobs after it are not run. The error rides
-    back as a *value* (not a raise) so the parent can chain the genuine
-    exception instance as ``ParallelError.__cause__``; errors that don't
-    survive pickling are replaced by a ``RuntimeError`` carrying their
-    repr.
+    ``(offset, original_error, formatted_traceback)`` for the first item
+    that raised — items after it are not run. The error rides back as a
+    *value* (not a raise) so the parent can chain the genuine exception
+    instance as ``ParallelError.__cause__``; errors that don't survive
+    pickling are replaced by a ``RuntimeError`` carrying their repr.
     """
-    results: list[ExperimentResult] = []
-    for offset, payload in enumerate(payloads):
+    results = []
+    for offset, item in enumerate(items):
         try:
-            results.append(_run_payload(payload, with_telemetry))
+            results.append(fn(item))
         except Exception as error:
-            trace = "".join(
-                traceback.format_exception(type(error), error, error.__traceback__)
-            ).strip()
+            trace = _format_traceback(error)
             try:
                 pickle.dumps(error)
             except Exception:
                 error = RuntimeError(repr(error))
             return results, (offset, error, trace)
     return results, None
+
+
+def run_pool(
+    fn: Callable,
+    batches: list[list],
+    n_workers: int,
+    *,
+    describe: Callable[[int], str],
+) -> list:
+    """Map ``fn`` over every item of ``batches``; results come back in order.
+
+    Each batch is one task on a pool of at most ``n_workers`` processes,
+    so ``fn`` and the items must pickle. One batch or one worker runs
+    in-process instead. The first failing item cancels the batches not
+    yet started and raises :class:`ParallelError`, labelled by
+    ``describe(i)`` for the failing item's position ``i`` in the
+    flattened batch list.
+    """
+    starts = list(itertools.accumulate(map(len, batches), initial=0))
+    done: list[list] = [[] for _ in batches]
+
+    def collect(index: int, outcome: tuple[list, tuple | None]) -> None:
+        done[index], failure = outcome
+        if failure is not None:
+            offset, error, trace = failure
+            raise ParallelError(
+                f"{describe(starts[index] + offset)} failed in a worker: {error}",
+                job_traceback=trace,
+            ) from error
+
+    workers = min(n_workers, len(batches))
+    if workers <= 1:
+        for index, batch in enumerate(batches):
+            collect(index, _run_batch(fn, batch))
+    else:
+        log.debug("starting worker pool", workers=workers, batches=len(batches))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            futures = {
+                pool.submit(_run_batch, fn, batch): index
+                for index, batch in enumerate(batches)
+            }
+            # Collect in completion order so the *first* failure is
+            # observed as soon as it happens; indices restore the order.
+            for future in as_completed(futures):
+                try:
+                    outcome = future.result()
+                except Exception as error:
+                    # The pool itself broke (e.g. a worker was killed):
+                    # blame the batch's first item.
+                    outcome = [], (0, error, _format_traceback(error))
+                if outcome[1] is not None:
+                    # Fail fast: drop the not-yet-started batches instead
+                    # of burning CPU after the outcome is known.
+                    pool.shutdown(wait=False, cancel_futures=True)
+                collect(futures[future], outcome)
+    return [result for results in done for result in results]
 
 
 def run_jobs_parallel(
@@ -220,83 +262,34 @@ def run_jobs_parallel(
     """
     if not expanded:
         return []
-    results: list[ExperimentResult | None] = [None] * len(expanded)
-    workers = min(n_workers, len(expanded))
-    size = resolve_chunk_size(chunk_size, len(expanded), workers)
-    chunks = [expanded[i : i + size] for i in range(0, len(expanded), size)]
-    log.debug(
-        "starting worker pool",
-        workers=workers,
-        jobs=len(expanded),
-        chunks=len(chunks),
+    size = resolve_chunk_size(
+        chunk_size, len(expanded), min(n_workers, len(expanded))
     )
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        future_chunks = {
-            pool.submit(
-                _run_payload_chunk,
-                [job.spec.to_json() for job in chunk],
-                with_telemetry,
-            ): chunk
-            for chunk in chunks
-        }
-        # Collect in completion order so the *first* failure is observed
-        # as soon as it happens; indices restore job order below.
-        for future in as_completed(future_chunks):
-            chunk = future_chunks[future]
-            chunk_results, failure = future.result()
-            for job, result in zip(chunk, chunk_results):
-                results[job.index] = result
-            if failure is not None:
-                # Fail fast: drop the not-yet-started remainder of the
-                # grid instead of burning CPU after the outcome is known.
-                pool.shutdown(wait=False, cancel_futures=True)
-                offset, error, trace = failure
-                job = chunk[offset]
-                label = job.label() or "(base spec)"
-                raise ParallelError(
-                    f"sweep job {job.index} [{label}] failed in a worker: "
-                    f"{error}",
-                    job_traceback=trace,
-                ) from error
-    return results  # type: ignore[return-value]
+    payloads = [job.spec.to_json() for job in expanded]
+
+    def describe(position: int) -> str:
+        job = expanded[position]
+        return f"sweep job {job.index} [{job.label() or '(base spec)'}]"
+
+    return run_pool(
+        functools.partial(_run_payload, with_telemetry=with_telemetry),
+        [payloads[i : i + size] for i in range(0, len(payloads), size)],
+        n_workers,
+        describe=describe,
+    )
 
 
-def _run_shard_task(task):
-    """Worker entry point for one fleet shard (module-level: picklable)."""
-    from .fleet.sharding import run_shard
+def run_shards_parallel(tasks: list[ShardTask], n_workers: int) -> list[ShardResult]:
+    """Run :class:`~repro.fleet.sharding.ShardTask`s, ordered by shard.
 
-    return run_shard(task)
-
-
-def run_shards_parallel(tasks: list, n_workers: int) -> list:
-    """Run :class:`~repro.fleet.sharding.ShardTask`s, ordered by shard index.
-
-    A single task (or ``n_workers <= 1``) runs in-process — no pool, no
-    pickling — so one-shard plans cost nothing over the unsharded path.
+    One batch per shard; a single shard (or ``n_workers <= 1``) runs
+    in-process, so one-shard plans cost nothing over the unsharded path.
     Failures raise :class:`ParallelError` naming the shard and its size,
     with the worker traceback on ``.job_traceback``.
     """
-    if not tasks:
-        return []
-    if len(tasks) == 1 or n_workers <= 1:
-        return [_run_shard_task(task) for task in tasks]
-    results = [None] * len(tasks)
-    workers = min(n_workers, len(tasks))
-    log.debug("starting shard pool", workers=workers, shards=len(tasks))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        future_tasks = {
-            pool.submit(_run_shard_task, task): task for task in tasks
-        }
-        for future in as_completed(future_tasks):
-            task = future_tasks[future]
-            try:
-                result = future.result()
-            except Exception as error:
-                pool.shutdown(wait=False, cancel_futures=True)
-                raise ParallelError(
-                    f"shard {task.shard_index} ({len(task.hub_indices)} hubs) "
-                    f"failed in a worker: {error}",
-                    job_traceback=_remote_traceback(error),
-                ) from error
-            results[result.shard_index] = result
-    return results
+
+    def describe(position: int) -> str:
+        task = tasks[position]
+        return f"shard {task.shard_index} ({len(task.hub_indices)} hubs)"
+
+    return run_pool(run_shard, [[task] for task in tasks], n_workers, describe=describe)

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import ModelError
+from ..telemetry import optional_span
 from .buffer import FleetRolloutBuffer, RolloutBuffer
 from .env import EctHubEnv
 from .fleet_env import FleetEnv
@@ -147,7 +148,7 @@ def train_fleet_ppo(
     history = FleetTrainingHistory()
 
     for episode in range(episodes):
-        rollout_start = time.perf_counter() if telemetry is not None else 0.0
+        rollout_start = time.perf_counter()
         states = env.reset()
         episode_returns = np.zeros(env.n_hubs)
         done = False
@@ -161,8 +162,9 @@ def train_fleet_ppo(
             telemetry.metrics.add_time(
                 "rl.rollout", time.perf_counter() - rollout_start
             )
-            with telemetry.span("ppo-update", episode=episode):
-                stats = agent.update(buffer, last_value=0.0)
+        with optional_span(telemetry, "ppo-update", episode=episode):
+            stats = agent.update(buffer, last_value=0.0)
+        if telemetry is not None:
             telemetry.record_rl_update(
                 reward_mean=float(episode_returns.mean()),
                 reward_std=float(episode_returns.std()),
@@ -172,8 +174,6 @@ def train_fleet_ppo(
                 approx_kl=stats.approx_kl,
                 clip_fraction=stats.clip_fraction,
             )
-        else:
-            stats = agent.update(buffer, last_value=0.0)
         history.episode_returns.append(episode_returns)
         history.update_stats.append(stats)
     return agent, history

@@ -5,10 +5,10 @@ generate the site catalog, apply group overrides, build per-hub scenarios
 (traces + Eq. 6-sized batteries), realise charging occupancy from the
 latent strata, sample blackouts, wire the feeder topology, and assemble
 the batched :class:`~repro.fleet.simulation.FleetSimulation` plus the
-spec'd scheduler. The default spec compiles to exactly the fleet the old
-imperative ``build_default_fleet`` produced — bit-for-bit, which is what
-keeps the PR-1/PR-2 equivalence and determinism suites binding on this
-layer too.
+spec'd scheduler. :meth:`FleetAssembly.engine` is the one place an
+assembly becomes a :class:`~repro.fleet.simulation.FleetSimulation`:
+:func:`build` (whole fleet or one shard) and the pricing congestion probe
+both go through it.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ import numpy as np
 from ..config import replace
 from ..energy.grid import BlackoutConfig, BlackoutModel
 from ..errors import ConfigError
+from ..fleet.builder import fleet_simulation_from_scenarios
 from ..fleet.grid import FeederGroup
 from ..fleet.schedulers import FleetScheduler, make_fleet_scheduler
 from ..fleet.simulation import FleetSimulation
@@ -223,9 +224,8 @@ class FleetAssembly:
         """Latent strata per (hub, slot), cached — ``(n_hubs, horizon)`` int.
 
         Streams are name-keyed per hub (``fleet/occupancy/{hub_id}``) from
-        a fresh run-seed factory, so the rows here are bit-identical to
-        what the pre-refactor inline loop in :func:`build` drew — and to
-        what any later caller with the same spec draws.
+        a fresh run-seed factory, so any caller with the same spec — or a
+        shard assembly holding the same hub — draws bit-identical rows.
         """
         if self._strata is None:
             factory = RngFactory(seed=self.spec.run.seed)
@@ -261,11 +261,6 @@ class FleetAssembly:
             )
         return rows
 
-    @property
-    def backend(self) -> str:
-        """The array backend the spec asks engines built from this to use."""
-        return self.spec.run.backend
-
     def realize_occupancy(self, discount: np.ndarray | None = None) -> np.ndarray:
         """Charging occupancy under a discount schedule — one vectorized pass.
 
@@ -276,6 +271,27 @@ class FleetAssembly:
         """
         return resolve_occupancy(
             self.realize_strata(), self.discount_rows(discount) > 0.0
+        )
+
+    def engine(self, discount: np.ndarray | None = None) -> FleetSimulation:
+        """The batched engine over this assembly under a discount schedule.
+
+        Occupancy is re-realised against ``discount`` (see
+        :meth:`discount_rows` for the accepted shapes); the run section
+        supplies the initial SoC, VoLL, cost-book storage and backend.
+        """
+        run = self.spec.run
+        rows = self.discount_rows(discount)
+        return fleet_simulation_from_scenarios(
+            self.scenarios,
+            self.realize_occupancy(rows),
+            rows,
+            outage=self.outage,
+            initial_soc_fraction=run.initial_soc_fraction,
+            feeders=self.feeders,
+            voll_per_kwh=run.voll_per_kwh,
+            storage=run.storage,
+            backend=run.backend,
         )
 
 
@@ -438,6 +454,7 @@ def build(
     discount: np.ndarray | None = None,
     telemetry=None,
     assembly: FleetAssembly | None = None,
+    hub_indices=None,
 ) -> CompiledScenario:
     """Compile a spec into scenarios + batched engine + scheduler.
 
@@ -455,9 +472,16 @@ def build(
     differ; fleet/grid/blackout and run days/seed/scale may not) or a
     :class:`ConfigError` is raised. The cached strata survive the rebind,
     so re-pricing sweeps skip both trace synthesis and the strata draw.
+
+    ``hub_indices`` compiles one shard of the fleet (see
+    :func:`_assemble_fleet`); the scheduler gets the global hub ids, so
+    every row matches the unsharded run. A shard never compiles the
+    ``pricing`` section — a policy trained on a shard-local log would
+    not be the unsharded run's policy — so its schedule is ``discount``
+    (the parent's rows, sliced to the shard) or the zero plane.
     """
     if assembly is None:
-        assembly = _assemble_fleet(spec)
+        assembly = _assemble_fleet(spec, hub_indices=hub_indices)
     elif assembly.spec is not spec:
         if assembly_fingerprint(assembly.spec) != assembly_fingerprint(spec):
             raise ConfigError(
@@ -469,11 +493,9 @@ def build(
         # cache — carry it over; it's discount-independent by design.
         rebound._strata = assembly._strata
         assembly = rebound
-    run = spec.run
-    scenarios = assembly.scenarios
 
     pricing_compiled = None
-    if discount is None and spec.pricing.policy != "none":
+    if discount is None and hub_indices is None and spec.pricing.policy != "none":
         # Local import: the pricing compiler pulls the causal/NCF stack,
         # which plain (unpriced) builds must not load.
         from .pricing import compile_pricing
@@ -481,28 +503,16 @@ def build(
         pricing_compiled = compile_pricing(assembly, telemetry=telemetry)
         discount = pricing_compiled.discount
 
-    discount_rows = assembly.discount_rows(discount)
-    occupied = assembly.realize_occupancy(discount_rows)
-
-    from ..fleet.builder import fleet_simulation_from_scenarios
-
-    simulation = fleet_simulation_from_scenarios(
-        scenarios,
-        occupied,
-        discount_rows,
-        outage=assembly.outage,
-        initial_soc_fraction=run.initial_soc_fraction,
-        feeders=assembly.feeders,
-        voll_per_kwh=run.voll_per_kwh,
-        storage=run.storage,
-        backend=run.backend,
-    )
+    simulation = assembly.engine(discount)
     scheduler = make_scheduler(
-        spec.scheduler, n_hubs=assembly.n_hubs, rng_factory=RngFactory(seed=run.seed)
+        spec.scheduler,
+        n_hubs=assembly.n_hubs,
+        rng_factory=RngFactory(seed=spec.run.seed),
+        hub_ids=None if hub_indices is None else [int(i) for i in hub_indices],
     )
     return CompiledScenario(
         spec=spec,
-        scenarios=scenarios,
+        scenarios=assembly.scenarios,
         simulation=simulation,
         scheduler=scheduler,
         n_hubs=assembly.n_hubs,

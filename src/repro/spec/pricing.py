@@ -24,12 +24,12 @@ baseline's.
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..causal import (
+    MODELS_PER_METHOD,
     EctPriceConfig,
     EctPriceModel,
     EctPricePolicy,
@@ -44,13 +44,8 @@ from ..causal import (
 )
 from ..errors import ConfigError
 from ..rng import RngFactory
+from ..telemetry import optional_span
 from .compiler import FleetAssembly, scaled
-
-#: Constituent NCF models per baseline method. This deliberately mirrors
-#: ``repro.experiments.pricing_common.MODELS_PER_METHOD`` (keep them in
-#: sync): the equal-total-compute protocol must hold here too, and the
-#: spec layer does not import the experiments package.
-MODELS_PER_METHOD = {"OR": 2, "IPS": 3, "DR": 4}
 
 
 @dataclass
@@ -72,14 +67,6 @@ class CompiledPricing:
     congestion: np.ndarray | None
 
 
-def _span(telemetry, name: str, **fields):
-    return (
-        contextlib.nullcontext()
-        if telemetry is None
-        else telemetry.span(name, **fields)
-    )
-
-
 def congestion_signal(assembly: FleetAssembly) -> np.ndarray:
     """Per-(hub, slot) congestion in [0, 1] under the zero-discount baseline.
 
@@ -93,19 +80,7 @@ def congestion_signal(assembly: FleetAssembly) -> np.ndarray:
     if feeders.is_unlimited:
         return np.zeros(shape)
 
-    from ..fleet.builder import fleet_simulation_from_scenarios
-
-    run = assembly.spec.run
-    simulation = fleet_simulation_from_scenarios(
-        assembly.scenarios,
-        assembly.realize_occupancy(None),
-        np.zeros(assembly.horizon),
-        outage=assembly.outage,
-        initial_soc_fraction=run.initial_soc_fraction,
-        feeders=feeders,
-        voll_per_kwh=run.voll_per_kwh,
-        backend=run.backend,
-    )
+    simulation = assembly.engine()
     base = simulation.planes.base_import_kw
     available = np.empty(shape)
     for t in range(assembly.horizon):
@@ -143,7 +118,7 @@ def compile_pricing(
     congestion: np.ndarray | None = None
     offsets: np.ndarray | None = None
     if feeder_aware:
-        with _span(telemetry, "pricing-congestion", hubs=assembly.n_hubs):
+        with optional_span(telemetry, "pricing-congestion", hubs=assembly.n_hubs):
             congestion = congestion_signal(assembly)
         offsets = pricing.congestion_weight * congestion
 
@@ -162,7 +137,7 @@ def compile_pricing(
     else:
         train_days = scaled(pricing.train_days, scale, minimum=7)
         epochs = scaled(pricing.epochs, scale, minimum=2)
-        with _span(
+        with optional_span(
             telemetry,
             "pricing-train",
             policy=pricing.policy,
@@ -206,7 +181,7 @@ def compile_pricing(
                 model.fit(train)
                 policy = UpliftPolicy(model)
 
-    with _span(telemetry, "pricing-schedule", hubs=assembly.n_hubs):
+    with optional_span(telemetry, "pricing-schedule", hubs=assembly.n_hubs):
         rows = []
         for index, scenario in enumerate(assembly.scenarios):
             hub_policy = (

@@ -30,7 +30,12 @@ or on the CLI: ``ect-hub fleet --set fleet.n_hubs=100 --telemetry
 from . import log
 from .metrics import HistogramStats, MetricsRegistry
 from .runinfo import run_metadata
-from .session import Telemetry, telemetry_sidecar_path, write_telemetry_json
+from .session import (
+    Telemetry,
+    optional_span,
+    telemetry_sidecar_path,
+    write_telemetry_json,
+)
 from .trace import Span, Tracer
 
 __all__ = [
@@ -40,6 +45,7 @@ __all__ = [
     "Telemetry",
     "Tracer",
     "log",
+    "optional_span",
     "run_metadata",
     "telemetry_sidecar_path",
     "write_telemetry_json",

@@ -34,6 +34,7 @@ from *how long it took* (phases/timers/trace).
 
 from __future__ import annotations
 
+import contextlib
 import json
 from pathlib import Path
 
@@ -146,6 +147,17 @@ class Telemetry:
                 f"rl updates {len(self.rl_updates)}; last: {rendered}"
             )
         return lines
+
+
+def optional_span(telemetry: Telemetry | None, name: str, **fields):
+    """``telemetry.span(name, **fields)``, or a no-op context without a session.
+
+    Lets a traced and an untraced run share one code path: the call
+    inside the ``with`` block is the same either way.
+    """
+    if telemetry is None:
+        return contextlib.nullcontext()
+    return telemetry.span(name, **fields)
 
 
 def write_telemetry_json(record: dict, path: str | Path) -> Path:

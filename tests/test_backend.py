@@ -151,13 +151,11 @@ class TestSpecBackendField:
         """A "numba" pin on a numba-less machine *resolves* to numpy:
         the simulation records what actually runs, the spec what was
         asked for."""
-        from repro.spec.compiler import _assemble_fleet
-
         spec = base_spec(**{"run.backend": "numba"})
         compiled = build(spec)
         resolved = get_backend("numba").name
         assert compiled.simulation.backend == resolved
-        assert _assemble_fleet(spec).backend == "numba"
+        assert compiled.spec.run.backend == "numba"
 
 
 # --------------------------------------------------------------------- #

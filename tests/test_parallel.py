@@ -70,6 +70,42 @@ class TestResolveJobs:
             resolve_jobs(-1)
 
 
+class TestCountArguments:
+    """``shards``, ``jobs`` and ``chunk_size`` follow ``RunSpec.shards``'
+    integer rule: a float, a bool or a string is a ConfigError naming the
+    argument, never silently truncated."""
+
+    @pytest.mark.parametrize(
+        "name, call",
+        [
+            ("shards", lambda: api.run(fleet_base(3, 1), shards=1.9)),
+            ("shards", lambda: api.run(fleet_base(3, 1), shards=True)),
+            ("shards", lambda: api.run(fleet_base(3, 1), shards="x")),
+            ("jobs", lambda: resolve_jobs("x")),
+            ("jobs", lambda: resolve_jobs(2.5)),
+            ("jobs", lambda: api.run_sweep(small_sweep(2), jobs=True)),
+            ("chunk_size", lambda: resolve_chunk_size(2.5, n_jobs=4, workers=2)),
+            (
+                "chunk_size",
+                lambda: api.run_sweep(small_sweep(2), jobs=2, chunk_size=1.5),
+            ),
+        ],
+        ids=[
+            "shards-float",
+            "shards-bool",
+            "shards-str",
+            "jobs-str",
+            "jobs-float",
+            "sweep-jobs-bool",
+            "chunk-size-float",
+            "sweep-chunk-size-float",
+        ],
+    )
+    def test_non_integer_rejected(self, name, call):
+        with pytest.raises(ConfigError, match=f"^{name} must be an integer"):
+            call()
+
+
 class TestResolveChunkSize:
     def test_explicit_passes_through(self):
         assert resolve_chunk_size(7, n_jobs=100, workers=4) == 7

@@ -23,11 +23,12 @@ import pytest
 
 from repro import api
 from repro.cli import main
-from repro.errors import ConfigError, FleetError
+from repro.errors import ConfigError, FleetError, ParallelError
 from repro.experiments.base import write_results_json
 from repro.fleet.costs import FleetCostBook
 from repro.fleet.grid import FeederGroup
 from repro.fleet.sharding import ShardTask, plan_shards, run_shard
+from repro.parallel import run_shards_parallel
 from repro.spec import get_preset
 from repro.spec.scenario import RunSpec, ScenarioSpec
 
@@ -293,19 +294,59 @@ class TestShardedByteIdentity:
 
 class TestRunShard:
     def test_rows_match_unsharded_book(self):
-        spec = base_spec()
-        full = api.build(spec)
-        full_book = full.execute()
+        """Shard rows equal the unsharded book's: plain, priced, windowed.
+
+        The priced task carries the parent's discount rows sliced to the
+        shard, as ``api.run(shards=N)`` ships them; a windowed book has no
+        per-slot columns, so only its per-hub aggregates are compared.
+        """
         idx = np.array([2, 5, 7])
-        result = run_shard(
-            ShardTask(spec_json=spec.to_json(), hub_indices=idx, shard_index=0)
-        )
-        np.testing.assert_array_equal(
-            result.book.profit_per_hub, full_book.profit_per_hub[idx]
-        )
-        np.testing.assert_array_equal(
-            result.book.grid_cost[:, :], full_book.grid_cost[idx, :]
-        )
+        for overrides in (
+            {},
+            {"pricing.policy": "evening"},
+            {"run.storage": "windowed"},
+        ):
+            spec = base_spec(**overrides)
+            full = api.build(spec)
+            full_book = full.execute()
+            discount = None if full.pricing is None else full.pricing.discount[idx]
+            result = run_shard(
+                ShardTask(
+                    spec_json=spec.to_json(),
+                    hub_indices=idx,
+                    shard_index=0,
+                    discount_rows=discount,
+                )
+            )
+            for name in (
+                "profit_per_hub",
+                "operating_cost_per_hub",
+                "charging_revenue_per_hub",
+                "unserved_per_hub_kwh",
+            ):
+                np.testing.assert_array_equal(
+                    getattr(result.book, name),
+                    getattr(full_book, name)[idx],
+                    err_msg=f"{overrides}: {name}",
+                )
+            if spec.run.storage == "dense":
+                np.testing.assert_array_equal(
+                    result.book.grid_cost[:, :], full_book.grid_cost[idx, :]
+                )
+
+    def test_worker_failure_names_the_shard(self):
+        spec_json = base_spec().to_json()
+        # Hub 99 is out of range for the 10-hub fleet.
+        tasks = [
+            ShardTask(spec_json=spec_json, hub_indices=np.array(idx), shard_index=i)
+            for i, idx in enumerate(([0, 1], [8, 99]))
+        ]
+        with pytest.raises(ParallelError) as excinfo:
+            run_shards_parallel(tasks, 2)
+        assert "shard 1 (2 hubs) failed in a worker" in str(excinfo.value)
+        assert isinstance(excinfo.value.__cause__, FleetError)
+        trace = excinfo.value.job_traceback
+        assert "in subgroup" in trace and "raise FleetError(" in trace
 
 
 # --------------------------------------------------------------------- #
