@@ -12,11 +12,14 @@ from __future__ import annotations
 
 import json
 import os
+import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.experiments import run_experiment
+from repro.fleet import FleetRuleBasedScheduler
 from repro.telemetry import run_metadata
 
 #: Rendered artifact reports are also persisted here.
@@ -68,6 +71,35 @@ def write_perf_report(name: str, text: str, payload: dict) -> None:
     (REPORT_DIR / f"{name}.json").write_text(
         json.dumps(payload, indent=2, sort_keys=True) + "\n"
     )
+
+
+def timed_once(sim) -> float:
+    """Wall time of one full rule-based run of ``sim`` from slot 0."""
+    sim.reset()
+    start = time.perf_counter()
+    sim.run(FleetRuleBasedScheduler())
+    return time.perf_counter() - start
+
+
+def paired_times(first, second, pairs: int):
+    """Interleaved ``(first_s, second_s)`` run times, one sample per pair.
+
+    One untimed warm-up each first: the initial pass pays page faults,
+    allocator growth and frequency ramp. The engine timed first
+    alternates per pair, so slow drift on a shared host cannot favour
+    either side; gate on the median of the per-pair ratios.
+    """
+    timed_once(first)
+    timed_once(second)
+    first_s, second_s = [], []
+    for pair in range(pairs):
+        if pair % 2:
+            second_s.append(timed_once(second))
+            first_s.append(timed_once(first))
+        else:
+            first_s.append(timed_once(first))
+            second_s.append(timed_once(second))
+    return np.array(first_s), np.array(second_s)
 
 
 @pytest.fixture()

@@ -1,13 +1,15 @@
-"""Benchmark: batched FleetEnv stepping vs a loop of scalar RL envs.
+"""Benchmark: batched FleetEnv stepping vs a loop of one-hub FleetEnvs.
 
 Steps the same action stream through one :class:`repro.rl.FleetEnv`
-episode (one fused-kernel step + one observation assembly per slot for
-all hubs) and through N independent :class:`~repro.rl.env.EctHubEnv`
-instances, reporting hub-slots/sec; a second section times the full PPO
-training loop (batched acting + per-hub GAE + minibatch updates) over
-the fleet environment. Reports persist to ``reports/fleet-env.{txt,json}``
-so the fleet-RL throughput trajectory is tracked across PRs. Guard: the
-batched environment is at least 3x the scalar loop (relaxed under
+episode over N hubs (one fused-kernel step + one observation assembly
+per slot for all hubs) and through N independent ``n_hubs=1``
+:class:`~repro.rl.FleetEnv` instances — the shape the per-hub scheduling
+studies (Table III, Fig. 13, the ablations) run — reporting
+hub-slots/sec; a second section times the full PPO training loop
+(batched acting + per-hub GAE + minibatch updates) over the fleet
+environment. Reports persist to ``reports/fleet-env.{txt,json}`` so the
+fleet-RL throughput trajectory is tracked across PRs. Guard: the batched
+environment is at least 3x the one-hub loop (relaxed under
 ``ECT_PERF_RELAXED`` / scaled runs).
 """
 
@@ -20,7 +22,7 @@ import numpy as np
 from conftest import bench_scale, perf_relaxed, write_perf_report
 from repro.config import replace
 from repro.hub import ScenarioConfig, build_fleet_scenarios, fleet_behavior_model
-from repro.rl import EctHubEnv, EnvConfig, FleetEnv, train_fleet_ppo
+from repro.rl import EnvConfig, FleetEnv, train_fleet_ppo
 from repro.rng import RngFactory
 from repro.synth.charging import ChargingConfig
 
@@ -62,22 +64,22 @@ def test_bench_fleet_env_throughput():
         fleet_env.step(actions[t])
     batched_s = time.perf_counter() - start
 
-    scalar_envs = [
-        EctHubEnv(
-            scenario,
+    one_hub_envs = [
+        FleetEnv(
+            [scenario],
             behavior,
             schedule,
             config=env_config,
-            rng=RngFactory(seed=1).stream(f"bench/scalar/{i}"),
+            rng=RngFactory(seed=1).stream(f"bench/one-hub/{i}"),
         )
         for i, scenario in enumerate(scenarios)
     ]
-    for env in scalar_envs:
+    for env in one_hub_envs:
         env.reset()
     start = time.perf_counter()
     for t in range(episode_h):
-        for i, env in enumerate(scalar_envs):
-            env.step(int(actions[t, i]))
+        for i, env in enumerate(one_hub_envs):
+            env.step(actions[t, i : i + 1])
     looped_s = time.perf_counter() - start
 
     hub_slots = N_HUBS * episode_h
@@ -107,7 +109,8 @@ def test_bench_fleet_env_throughput():
             f"workload: {N_HUBS} hubs x {episode_h}-slot episodes "
             f"({hub_slots} hub-slots/episode), random actions",
             f"batched env  {batched_rate:>12,.0f} hub-slots/sec  ({batched_s:.3f}s)",
-            f"scalar loop  {looped_rate:>12,.0f} hub-slots/sec  ({looped_s:.3f}s)",
+            f"one-hub loop {looped_rate:>12,.0f} hub-slots/sec  ({looped_s:.3f}s)  "
+            f"({N_HUBS} x FleetEnv(n_hubs=1))",
             f"speedup      {speedup:>12.1f}x",
             f"PPO training {train_rate:>12,.0f} hub-slots/sec  "
             f"({train_episodes} episodes incl. updates in {train_s:.3f}s)",

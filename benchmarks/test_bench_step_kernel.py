@@ -33,16 +33,15 @@ default engine).
 from __future__ import annotations
 
 import os
-import time
 
 import numpy as np
 
-from conftest import perf_relaxed, write_perf_report
+from conftest import paired_times, perf_relaxed, timed_once, write_perf_report
 from repro import api
 from repro.backend import available_backends
 from repro.energy.battery import CHARGE, DISCHARGE, IDLE
 from repro.errors import FleetError, GridError
-from repro.fleet import FleetRuleBasedScheduler, FleetSimulation
+from repro.fleet import FleetSimulation
 
 N_HUBS = 100
 
@@ -224,34 +223,6 @@ class ReferenceStepSimulation(FleetSimulation):
         }
 
 
-def _timed_once(sim) -> float:
-    sim.reset()
-    start = time.perf_counter()
-    sim.run(FleetRuleBasedScheduler())
-    return time.perf_counter() - start
-
-
-def _paired_times(fused, reference, pairs: int = PAIRS):
-    """Interleaved ``(fused_s, reference_s)`` samples, one per pair.
-
-    One untimed warm-up each first: the initial pass pays page faults,
-    allocator growth and frequency ramp. The engine timed first
-    alternates per pair, so slow drift on a shared host cannot favour
-    either side.
-    """
-    _timed_once(fused)
-    _timed_once(reference)
-    fused_s, reference_s = [], []
-    for pair in range(pairs):
-        if pair % 2:
-            reference_s.append(_timed_once(reference))
-            fused_s.append(_timed_once(fused))
-        else:
-            fused_s.append(_timed_once(fused))
-            reference_s.append(_timed_once(reference))
-    return np.array(fused_s), np.array(reference_s)
-
-
 def test_bench_step_kernel():
     scale = float(os.environ.get("ECT_BENCH_SCALE", 1.0))
     n_days = max(int(round(14 * scale)), 2)
@@ -268,7 +239,7 @@ def test_bench_step_kernel():
     )
     hub_slots = N_HUBS * fused.horizon
 
-    fused_s, reference_s = _paired_times(fused, reference)
+    fused_s, reference_s = paired_times(fused, reference, PAIRS)
     fused_book, reference_book = fused.book, reference.book
     ratios = reference_s / fused_s
     speedup = float(np.median(ratios))
@@ -286,8 +257,8 @@ def test_bench_step_kernel():
             voll_per_kwh=fused.voll_per_kwh,
             backend=backend,
         )
-        _timed_once(sim)
-        times = [_timed_once(sim) for _ in range(BACKEND_RUNS)]
+        timed_once(sim)
+        times = [timed_once(sim) for _ in range(BACKEND_RUNS)]
         backend_rates[backend] = hub_slots / float(np.median(times))
         backend_books[backend] = sim.book
 

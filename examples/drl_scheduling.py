@@ -12,17 +12,15 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.fleet import FleetIdleScheduler, FleetRuleBasedScheduler
 from repro.hub import ScenarioConfig, build_fleet_scenarios, fleet_behavior_model
 from repro.hub.scenario import resolve_occupancy
 from repro.rl import (
-    EctHubEnv,
     EnvConfig,
-    IdleScheduler,
-    RuleBasedScheduler,
-    evaluate_agent,
-    evaluate_scheduler,
+    FleetEnv,
+    evaluate_daily_rewards,
     optimal_schedule,
-    train_ppo,
+    train_fleet_ppo,
 )
 from repro.rng import RngFactory
 
@@ -38,19 +36,22 @@ def main() -> None:
     hours = np.arange(scenario.n_hours) % 24
     discounts = np.where(hours >= 18, 0.2, 0.0)
 
-    env = EctHubEnv(scenario, behavior, discounts,
-                    config=EnvConfig(episode_days=30),
-                    rng=factory.stream("env"))
+    # The batched environment at n_hubs=1: one hub, one action per slot.
+    env = FleetEnv([scenario], behavior, discounts,
+                   config=EnvConfig(episode_days=30),
+                   rng=factory.stream("env"))
 
     print("training PPO for 30 episodes …")
-    agent, history = train_ppo(env, episodes=30, rng=factory.stream("ppo"))
-    first5 = np.mean(history.episode_returns[:5])
-    last5 = np.mean(history.episode_returns[-5:])
+    agent, history = train_fleet_ppo(env, episodes=30, rng=factory.stream("ppo"))
+    returns = history.mean_episode_returns
+    first5, last5 = np.mean(returns[:5]), np.mean(returns[-5:])
     print(f"episode return: first-5 avg {first5:.0f} -> last-5 avg {last5:.0f}")
 
-    ppo_daily = evaluate_agent(env, agent, episodes=5).mean()
-    rule_daily = evaluate_scheduler(env, RuleBasedScheduler(), episodes=5).mean()
-    idle_daily = evaluate_scheduler(env, IdleScheduler(), episodes=5).mean()
+    ppo_daily = evaluate_daily_rewards(env, agent, episodes=5).mean()
+    rule_daily = evaluate_daily_rewards(
+        env, FleetRuleBasedScheduler(), episodes=5
+    ).mean()
+    idle_daily = evaluate_daily_rewards(env, FleetIdleScheduler(), episodes=5).mean()
 
     # Clairvoyant upper bound on one fixed 30-day window.
     rng = factory.stream("oracle")

@@ -2,9 +2,10 @@
 
 Fig. 13 and Table III share this pipeline: train the four pricing methods
 once (the Table II study), turn each into a per-hub discount schedule, and
-train/evaluate one ECT-DRL agent per (hub, method) pair. All four agents
-of one hub see identical traces; only the charging-price input differs —
-exactly the paper's §V-C protocol.
+train/evaluate one ECT-DRL agent per (hub, method) pair on a one-hub
+:class:`~repro.rl.fleet_env.FleetEnv`. All four agents of one hub see
+identical traces; only the charging-price input differs — exactly the
+paper's §V-C protocol.
 """
 
 from __future__ import annotations
@@ -16,9 +17,9 @@ import numpy as np
 from ..causal.policy import DiscountPolicy, discount_schedule_for_hub
 from ..hub.scenario import HubScenario, ScenarioConfig, build_fleet_scenarios
 from ..rng import RngFactory
-from ..rl.env import EctHubEnv, EnvConfig
+from ..rl.fleet_env import EnvConfig, FleetEnv
 from ..rl.ppo import PpoConfig
-from ..rl.training import evaluate_agent, train_ppo
+from ..rl.training import evaluate_daily_rewards, train_fleet_ppo
 from ..timeutils import SlotCalendar
 from ..units import HOURS_PER_DAY
 from .base import scaled
@@ -121,22 +122,22 @@ def _one_pair(
         budget_fraction=BUDGET_FRACTION,
     )
     stream = f"drl/{scenario.site.hub_id}/{policy.name}"
-    env = EctHubEnv(
-        scenario,
+    env = FleetEnv(
+        [scenario],
         pricing.behavior,
         schedule,
         config=EnvConfig(),
         rng=factory.stream(f"{stream}/env"),
     )
-    agent, _ = train_ppo(
+    agent, _ = train_fleet_ppo(
         env,
         episodes=train_episodes,
         config=PpoConfig(),
         rng=factory.stream(f"{stream}/ppo"),
     )
-    daily = evaluate_agent(env, agent, episodes=test_episodes)
+    daily = evaluate_daily_rewards(env, agent, episodes=test_episodes)
     return HubMethodResult(
         hub_id=scenario.site.hub_id,
         method=policy.name,
-        daily_rewards=daily,
+        daily_rewards=daily[:, 0],
     )

@@ -21,8 +21,9 @@ Layout
 ``costs``
     Fleet-level cost book (per-hub arrays + network totals).
 ``schedulers``
-    Vectorized idle / random / rule-based / greedy-renewable baselines,
-    action-equivalent to their scalar twins in :mod:`repro.rl.schedulers`
+    Vectorized idle / random / rule-based / greedy-renewable baselines —
+    the policies every scheduling study runs — action-equivalent to the
+    ``HubSimulation`` reference policies in :mod:`repro.rl.schedulers`
     (rule-based/greedy additionally back off charges under feeder
     congestion).
 ``grid``

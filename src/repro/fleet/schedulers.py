@@ -1,9 +1,11 @@
 """Vectorized battery schedulers over :class:`FleetSimulation` states.
 
-Each scheduler is the batched twin of one scalar baseline in
-:mod:`repro.rl.schedulers` and produces **identical per-hub actions** given
-identical inputs/seeds, which is what lets the equivalence tests compare
-whole scheduled runs between the two engines:
+These are the baselines every scheduling study runs (``fleet``, the
+``abl-sched`` / ``abl-cbp`` ablations at ``n_hubs=1``). Each is the
+batched twin of one ``HubSimulation`` reference policy in
+:mod:`repro.rl.schedulers` and produces **identical per-hub actions**
+given identical inputs/seeds, which is what lets the equivalence tests
+compare whole scheduled runs between the two engines:
 
 * :class:`FleetIdleScheduler` ↔ ``IdleScheduler``
 * :class:`FleetRandomScheduler` ↔ ``RandomScheduler`` (per-hub streams;
@@ -18,7 +20,7 @@ Rule-based and greedy are **congestion-aware**: before committing to a
 charge they consult :meth:`FleetSimulation.available_import_kw` — the
 per-hub fair share of remaining feeder capacity — and fall back to IDLE
 where the battery's extra import would not fit. On an uncoupled fleet the
-signal is infinite, so the actions stay identical to the scalar twins.
+signal is infinite, so the actions stay identical to the reference policies.
 """
 
 from __future__ import annotations

@@ -1,18 +1,19 @@
 """``repro.rl`` — ECT-DRL: PPO battery scheduling plus baselines.
 
-Implements §IV-B of the paper: the Eq. 24 state, the 3-action battery
-environment (:mod:`.env`) and its batched fleet-scale counterpart
-(:mod:`.fleet_env`, stepping N hubs per action batch over the vectorized
-engine), the PPO learner with the Eq. 25 clipped surrogate (:mod:`.ppo`)
-including hub-axis batch parallelism, rule-based scheduler baselines
-(:mod:`.schedulers`), and a clairvoyant DP oracle used by the ablations
-(:mod:`.dp_oracle`).
+Implements §IV-B of the paper: the Eq. 24 state and the 3-action battery
+environment, batched over N hubs on the vectorized engine
+(:mod:`.fleet_env`; the paper's one-hub studies run it at ``n_hubs=1``),
+the PPO learner with the Eq. 25 clipped surrogate (:mod:`.ppo`) and its
+training/evaluation loops (:mod:`.training`), the
+:class:`~repro.hub.simulation.HubSimulation` reference policies
+(:mod:`.schedulers`; the batched baselines live in
+:mod:`repro.fleet.schedulers`), and a clairvoyant DP oracle used by the
+ablations (:mod:`.dp_oracle`).
 """
 
-from .buffer import FleetRolloutBuffer, RolloutBuffer
+from .buffer import FleetRolloutBuffer
 from .dp_oracle import OracleResult, optimal_schedule
-from .env import ACTION_TO_SBP, N_ACTIONS, EctHubEnv, EnvConfig
-from .fleet_env import FEEDER_OBS_CLIP, FleetEnv
+from .fleet_env import ACTION_TO_SBP, FEEDER_OBS_CLIP, N_ACTIONS, EnvConfig, FleetEnv
 from .networks import ActorCritic
 from .ppo import PpoAgent, PpoConfig, UpdateStats
 from .schedulers import (
@@ -25,12 +26,9 @@ from .schedulers import (
 from .spaces import Box, Discrete
 from .training import (
     FleetTrainingHistory,
-    TrainingHistory,
-    evaluate_agent,
+    evaluate_daily_rewards,
     evaluate_fleet_agent,
-    evaluate_scheduler,
     train_fleet_ppo,
-    train_ppo,
 )
 
 __all__ = [
@@ -38,7 +36,6 @@ __all__ = [
     "ActorCritic",
     "Box",
     "Discrete",
-    "EctHubEnv",
     "EnvConfig",
     "FEEDER_OBS_CLIP",
     "FleetEnv",
@@ -51,15 +48,11 @@ __all__ = [
     "PpoAgent",
     "PpoConfig",
     "RandomScheduler",
-    "RolloutBuffer",
     "RuleBasedScheduler",
     "Scheduler",
-    "TrainingHistory",
     "UpdateStats",
-    "evaluate_agent",
+    "evaluate_daily_rewards",
     "evaluate_fleet_agent",
-    "evaluate_scheduler",
     "optimal_schedule",
     "train_fleet_ppo",
-    "train_ppo",
 ]

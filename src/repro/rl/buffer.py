@@ -1,13 +1,11 @@
 """Rollout storage and Generalised Advantage Estimation for PPO.
 
-:class:`RolloutBuffer` stores one environment's transitions;
 :class:`FleetRolloutBuffer` stores ``(T, n_envs)`` batches from the
-batched fleet environment, runs GAE(λ) **per hub** (vectorized over the
-hub axis), and exposes the flattened ``(T·n_envs, …)`` views the PPO
-update consumes — so one parameter-shared policy trains on every hub's
-transitions with a single optimiser. Both buffers present the same
-``compute_advantages`` / ``minibatches`` / column-attribute interface, so
-:meth:`~repro.rl.ppo.PpoAgent.update` works with either unchanged.
+batched :class:`~repro.rl.fleet_env.FleetEnv`, runs GAE(λ) **per hub**
+(vectorized over the hub axis), and exposes the flattened
+``(T·n_envs, …)`` views the PPO update consumes — so one
+parameter-shared policy trains on every hub's transitions with a single
+optimiser. A one-hub study is the ``n_envs=1`` case.
 """
 
 from __future__ import annotations
@@ -17,131 +15,18 @@ import numpy as np
 from ..errors import ModelError
 
 
-class RolloutBuffer:
-    """Fixed-capacity on-policy buffer for one environment.
-
-    Stores one or more episodes of (state, action, log-prob, value, reward,
-    done) tuples and computes GAE(λ) advantages and discounted returns used
-    by the PPO update (the ``Â_t`` of Eq. 25). A thin scalar facade over
-    :class:`FleetRolloutBuffer` at ``n_envs=1`` — one GAE implementation
-    serves both the scalar and fleet training paths.
-    """
-
-    def __init__(self, capacity: int, state_dim: int) -> None:
-        if capacity <= 0 or state_dim <= 0:
-            raise ModelError("capacity and state_dim must be positive")
-        self.capacity = capacity
-        self._fleet = FleetRolloutBuffer(capacity, 1, state_dim)
-
-    def __len__(self) -> int:
-        return len(self._fleet)
-
-    @property
-    def full(self) -> bool:
-        """Whether the buffer has reached capacity."""
-        return self._fleet.full
-
-    def add(
-        self,
-        state: np.ndarray,
-        action: int,
-        log_prob: float,
-        value: float,
-        reward: float,
-        done: bool,
-    ) -> None:
-        """Append one transition."""
-        if self.full:
-            raise ModelError(f"rollout buffer capacity {self.capacity} exceeded")
-        self._fleet.add(
-            np.asarray(state).reshape(1, -1),
-            np.array([action]),
-            np.array([log_prob]),
-            np.array([value]),
-            np.array([reward]),
-            bool(done),
-        )
-
-    def compute_advantages(
-        self,
-        last_value: float,
-        *,
-        gamma: float = 0.99,
-        gae_lambda: float = 0.95,
-        normalize: bool = True,
-    ) -> None:
-        """GAE(λ) over the stored transitions.
-
-        ``last_value`` bootstraps the value beyond the final stored step
-        (0 when the final step terminated an episode).
-        """
-        self._fleet.compute_advantages(
-            float(last_value),
-            gamma=gamma,
-            gae_lambda=gae_lambda,
-            normalize=normalize,
-        )
-
-    @property
-    def states(self) -> np.ndarray:
-        """Stored states, shape ``(len, state_dim)``."""
-        return self._fleet.states
-
-    @property
-    def actions(self) -> np.ndarray:
-        """Stored actions."""
-        return self._fleet.actions
-
-    @property
-    def log_probs(self) -> np.ndarray:
-        """Stored behaviour log-probs."""
-        return self._fleet.log_probs
-
-    @property
-    def advantages(self) -> np.ndarray:
-        """GAE advantages of the stored transitions."""
-        return self._fleet.advantages
-
-    @property
-    def returns(self) -> np.ndarray:
-        """Discounted returns of the stored transitions."""
-        return self._fleet.returns
-
-    @property
-    def values(self) -> np.ndarray:
-        """Stored critic values."""
-        return self._fleet.values
-
-    @property
-    def rewards(self) -> np.ndarray:
-        """Stored rewards."""
-        return self._fleet.rewards
-
-    @property
-    def dones(self) -> np.ndarray:
-        """Stored done flags."""
-        return self._fleet.dones
-
-    def minibatches(self, batch_size: int, rng: np.random.Generator):
-        """Yield shuffled index arrays over the stored transitions."""
-        return self._fleet.minibatches(batch_size, rng)
-
-    def clear(self) -> None:
-        """Reset for the next rollout."""
-        self._fleet.clear()
-
-
 class FleetRolloutBuffer:
     """On-policy storage for ``n_envs`` hubs stepped in lockstep.
 
     One :meth:`add` call appends a whole ``(n_envs,)`` transition batch
-    (the fleet environment's per-slot output). GAE(λ) runs per hub —
-    every hub's advantage stream is computed exactly as a scalar
-    :class:`RolloutBuffer` would, just vectorized across the hub axis —
-    and normalisation spans the full ``T·n_envs`` pool, which is also the
-    pool :meth:`minibatches` shuffles over. The flat column properties
-    (``states``, ``actions``, …) order transitions time-major
-    (slot 0's hubs first), matching the ``(T, n_envs)`` storage reshape.
+    (the fleet environment's per-slot output). GAE(λ) (the ``Â_t`` of
+    Eq. 25) runs per hub — every hub's advantage stream is exactly what
+    an ``n_envs=1`` buffer holding that hub alone computes, vectorized
+    across the hub axis — and normalisation spans the full ``T·n_envs``
+    pool, which is also the pool :meth:`minibatches` shuffles over. The
+    flat column properties (``states``, ``actions``, …) order transitions
+    time-major (slot 0's hubs first), matching the ``(T, n_envs)``
+    storage reshape.
     """
 
     def __init__(self, capacity: int, n_envs: int, state_dim: int) -> None:

@@ -1,18 +1,19 @@
-"""Batched ECT-DRL environment: one step advances the whole fleet.
+"""The ECT-DRL environment (paper §IV-B), batched over N hubs.
 
-:class:`FleetEnv` is the fleet-scale counterpart of
-:class:`~repro.rl.env.EctHubEnv`: one episode is an ``episode_days``
-window over N hubs stepped **together** through the PR-4 fused
-:class:`~repro.fleet.simulation.FleetSimulation` kernel. Per slot the
-environment consumes an ``(n_hubs,)`` integer action vector (the same
-0 → idle / 1 → charge / 2 → discharge coding as the scalar env, mapped to
-the paper's ``S_BP``), and returns
+One episode is an ``episode_days`` window of hourly slots (paper: 30
+days, §V-C) over N hubs stepped **together** through the fused
+:class:`~repro.fleet.simulation.FleetSimulation` kernel; the paper's
+one-hub studies run it at ``n_hubs=1``. Per slot the environment
+consumes an ``(n_hubs,)`` integer action vector (0 → idle, 1 → charge,
+2 → discharge, mapped to the paper's ``S_BP``), and returns
 
 * observations of shape ``(n_hubs, state_dim)`` — the Eq. 24 state per
-  hub: forecast windows of RTP, weather (irradiance + wind), traffic
-  load, and the discounted selling price (read off the engine's
+  hub, ``s_t = (RTP⃗, weather⃗, traffic⃗, SRTP⃗, SoC)``: forecast windows
+  of the next ``window_h`` hours of the real-time price (/0.1), weather
+  (irradiance /1000, wind /25), traffic load, and the discounted selling
+  price (/0.5, read off the engine's
   :class:`~repro.fleet.planes.SlotPlanes` SRTP plane), plus the battery
-  SoC, all with the scalar env's normalisations;
+  SoC;
 * rewards of shape ``(n_hubs,)`` — the vectorized Eq. 12 slot profit
   (revenue − grid cost − battery cost − VoLL·unserved) computed straight
   from the fused step kernel's booked columns, so per-hub rewards match
@@ -24,17 +25,19 @@ each hub's ``available_import_kw()`` headroom normalised by its battery
 charge rate (clipped; infinite headroom saturates at the clip), giving a
 learned policy the congestion signal the fair-share heuristic acts on.
 
-Episode sampling mirrors the scalar env so that at ``n_hubs=1`` with the
-same RNG an episode is **trace-identical** to an :class:`EctHubEnv`
-episode (rewards agree within the fleet engine's atol-1e-9 equivalence
-bound): one shared episode start is drawn, then per hub the charging
-strata are re-realised under that hub's discount schedule and an initial
-SoC is drawn — the exact draw order of ``EctHubEnv.reset``.
+Episodes sample a random window start and, per hub, re-realise the
+charging strata under that hub's discount schedule and draw an initial
+SoC (§V-C), so the environment is stochastic across episodes but driven
+by the same generative model the pricing stage was trained on. At
+``n_hubs=1`` an episode steps exactly like a
+:class:`~repro.hub.simulation.HubSimulation` over the same sliced inputs
+(rewards within the engines' atol-1e-9 equivalence bound).
 """
 
 from __future__ import annotations
 
 import dataclasses
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -47,8 +50,13 @@ from ..fleet.simulation import FleetSimulation
 from ..hub.scenario import HubScenario, resolve_occupancy
 from ..synth.charging import ChargingBehaviorModel
 from ..units import HOURS_PER_DAY
-from .env import ACTION_TO_SBP, N_ACTIONS, EnvConfig
 from .spaces import Box, Discrete
+
+#: Environment action codes (indices into this tuple give the paper S_BP).
+ACTION_TO_SBP = (0, 1, -1)
+
+#: Number of discrete actions.
+N_ACTIONS = 3
 
 #: Feeder headroom is reported in units of the hub's charge rate and
 #: clipped here; an uncoupled (infinite) feeder saturates at the clip.
@@ -56,6 +64,38 @@ FEEDER_OBS_CLIP = 2.0
 
 #: Action-code → S_BP lookup in array form for vectorized mapping.
 _SBP_LOOKUP = np.array(ACTION_TO_SBP, dtype=int)
+
+
+@dataclass(frozen=True)
+class EnvConfig:
+    """Environment knobs.
+
+    Attributes
+    ----------
+    episode_days:
+        Episode length (paper: 30 days).
+    window_h:
+        Forecast window length for each state feature vector.
+    reward_scale:
+        Rewards are divided by this for PPO numeric stability; evaluation
+        helpers report unscaled Eq. 12 values.
+    random_initial_soc:
+        Draw SoC uniformly at episode start (paper §V-C); fixed 0.5 when
+        False.
+    """
+
+    episode_days: int = 30
+    window_h: int = 24
+    reward_scale: float = 10.0
+    random_initial_soc: bool = True
+
+    def __post_init__(self) -> None:
+        if self.episode_days <= 0:
+            raise EnvError(f"episode_days must be positive, got {self.episode_days}")
+        if self.window_h <= 0:
+            raise EnvError(f"window_h must be positive, got {self.window_h}")
+        if self.reward_scale <= 0:
+            raise EnvError(f"reward_scale must be positive, got {self.reward_scale}")
 
 
 class FleetEnv:
@@ -72,8 +112,8 @@ class FleetEnv:
         Discount fraction per (hub, slot) — ``(n_hubs, n_hours)``, or one
         shared ``(n_hours,)`` trace broadcast to every hub.
     config:
-        :class:`~repro.rl.env.EnvConfig` (episode length, window,
-        reward scale, SoC sampling) — shared with the scalar env.
+        :class:`EnvConfig` (episode length, window, reward scale, SoC
+        sampling).
     rng:
         Episode-sampling generator (start slot, strata, initial SoC).
     outage:
@@ -162,7 +202,7 @@ class FleetEnv:
             [s.hub_config for s in self.scenarios]
         )
         # Full-horizon trace blocks: raw rows feed episode FleetInputs;
-        # the Eq. 24 observation planes carry the scalar env's scalings.
+        # the Eq. 24 observation planes carry their normalisations.
         self._load_rate = np.stack([s.load_rate for s in self.scenarios])
         self._rtp_kwh = np.stack([s.rtp_kwh for s in self.scenarios])
         self._pv_kw = np.stack([s.pv_power_kw for s in self.scenarios])
@@ -281,8 +321,8 @@ class FleetEnv:
         episode_discount = self.discount[:, slots]
         initial_soc = np.empty(self.n_hubs)
         for i, scenario in enumerate(self.scenarios):
-            # Per hub: strata then SoC — EctHubEnv.reset's draw order, so
-            # an n_hubs=1 episode consumes the RNG identically.
+            # Per hub: strata then SoC — the draw order every seeded
+            # study's episode stream was recorded with.
             strata = self.behavior.sample_strata(
                 scenario.site.hub_id, slots, self._rng
             )
@@ -320,8 +360,8 @@ class FleetEnv:
     ) -> tuple[np.ndarray, np.ndarray, bool, dict]:
         """Apply one action per hub; returns (state, scaled_rewards, done, info).
 
-        ``actions`` is an ``(n_hubs,)`` integer vector over the scalar
-        env's action codes {0: idle, 1: charge, 2: discharge}. Rewards are
+        ``actions`` is an ``(n_hubs,)`` integer vector over the action
+        codes {0: idle, 1: charge, 2: discharge}. Rewards are
         the per-hub Eq. 12 slot profits (minus the VoLL penalty) divided
         by ``reward_scale``; ``info["reward_raw"]`` carries the unscaled
         values and ``info["columns"]`` the booked slot columns.

@@ -49,22 +49,6 @@ class ActorCritic(nn.Module):
     # Acting                                                               #
     # ------------------------------------------------------------------ #
 
-    def act(
-        self, state: np.ndarray, rng: np.random.Generator
-    ) -> tuple[int, float, float]:
-        """Sample an action; returns (action, log_prob, value)."""
-        logits, value = self.forward(state)
-        log_probs = logits.log_softmax(axis=-1).numpy()[0]
-        probs = np.exp(log_probs)
-        probs = probs / probs.sum()
-        action = int(rng.choice(self.n_actions, p=probs))
-        return action, float(log_probs[action]), float(value.numpy()[0, 0])
-
-    def greedy_action(self, state: np.ndarray) -> int:
-        """Deterministic argmax action (evaluation mode)."""
-        logits, _ = self.forward(state)
-        return int(np.argmax(logits.numpy()[0]))
-
     def act_batch(
         self, states: np.ndarray, rng: np.random.Generator
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .. import nn
 from ..errors import ModelError
-from .buffer import RolloutBuffer
+from .buffer import FleetRolloutBuffer
 from .networks import ActorCritic
 
 
@@ -98,14 +98,6 @@ class PpoAgent:
     # Acting                                                               #
     # ------------------------------------------------------------------ #
 
-    def act(self, state: np.ndarray) -> tuple[int, float, float]:
-        """Sample (action, log_prob, value) from the current policy."""
-        return self.network.act(state, self._rng)
-
-    def greedy_action(self, state: np.ndarray) -> int:
-        """Deterministic action for evaluation."""
-        return self.network.greedy_action(state)
-
     def act_batch(
         self, states: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -120,27 +112,20 @@ class PpoAgent:
         """Deterministic actions for a batch of states (evaluation)."""
         return self.network.greedy_actions(states)
 
-    def value(self, state: np.ndarray) -> float:
-        """Critic value of a state (for bootstrap at rollout truncation)."""
-        _, value = self.network.forward(state)
-        return float(value.numpy()[0, 0])
-
     # ------------------------------------------------------------------ #
     # Learning (Eqs. 25–28)                                                #
     # ------------------------------------------------------------------ #
 
     def update(
         self,
-        buffer: RolloutBuffer,
+        buffer: FleetRolloutBuffer,
         *,
         last_value: float | np.ndarray = 0.0,
     ) -> UpdateStats:
-        """One PPO update over a filled rollout buffer.
+        """One PPO update over a filled :class:`FleetRolloutBuffer`.
 
-        ``buffer`` is a :class:`RolloutBuffer` or a
-        :class:`~repro.rl.buffer.FleetRolloutBuffer` — both expose the
-        same advantage/minibatch interface; for the fleet buffer
-        ``last_value`` may be an ``(n_envs,)`` per-hub bootstrap array.
+        GAE runs per hub; ``last_value`` bootstraps beyond the final
+        stored slot — a scalar, or an ``(n_envs,)`` per-hub array.
         """
         cfg = self.config
         buffer.compute_advantages(

@@ -1,6 +1,10 @@
-"""Baseline battery schedulers (non-learned).
+"""``HubSimulation`` reference policies (non-learned battery schedulers).
 
-These provide comparison points and ablations for ECT-DRL:
+The one-hub twins of the batched baselines in
+:mod:`repro.fleet.schedulers`, which every study runs. These stay as the
+reference the fleet schedulers are held action-equivalent to
+(``tests/test_fleet.py``) and as the policies of the per-hub engine loop
+(``benchmarks/test_bench_fleet.py``):
 
 * :class:`IdleScheduler` — never touch the battery (the "no BESS
   scheduling" reference).

@@ -1,9 +1,11 @@
-"""Training and evaluation loops for ECT-DRL.
+"""Training and evaluation loops for ECT-DRL over :class:`FleetEnv`.
 
-The paper trains for 500 episodes and tests for 100 (§V-C); these loops
-take the episode counts as parameters so benches can run a reduced
-schedule (documented in EXPERIMENTS.md) while paper-scale remains one
-config away.
+Every DRL run — the Table III / Fig. 13 per-(hub, method) agents, the
+scheduler ablations, and ``train-fleet`` — trains through
+:func:`train_fleet_ppo`; a one-hub study is the ``n_hubs=1`` case. The
+paper trains for 500 episodes and tests for 100 (§V-C); these loops take
+the episode counts as parameters so benches can run a reduced schedule
+while paper-scale remains one config away.
 """
 
 from __future__ import annotations
@@ -14,90 +16,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import ModelError
+from ..fleet.schedulers import FleetScheduler
 from ..telemetry import optional_span
-from .buffer import FleetRolloutBuffer, RolloutBuffer
-from .env import EctHubEnv
+from .buffer import FleetRolloutBuffer
 from .fleet_env import FleetEnv
 from .ppo import PpoAgent, PpoConfig, UpdateStats
-from .schedulers import Scheduler
-
-
-@dataclass
-class TrainingHistory:
-    """Per-episode returns and update diagnostics."""
-
-    episode_returns: list[float] = field(default_factory=list)
-    update_stats: list[UpdateStats] = field(default_factory=list)
-
-    @property
-    def best_return(self) -> float:
-        """Highest raw episode return seen during training."""
-        if not self.episode_returns:
-            raise ModelError("no episodes recorded")
-        return max(self.episode_returns)
-
-
-def train_ppo(
-    env: EctHubEnv,
-    *,
-    episodes: int,
-    config: PpoConfig | None = None,
-    rng: np.random.Generator | None = None,
-    agent: PpoAgent | None = None,
-) -> tuple[PpoAgent, TrainingHistory]:
-    """Train a PPO agent on one hub environment.
-
-    One PPO update per episode (the 720-slot episode is the rollout).
-    Returns the trained agent and the training history (raw Eq. 12
-    returns, not reward-scaled).
-    """
-    if episodes <= 0:
-        raise ModelError(f"episodes must be positive, got {episodes}")
-    agent = agent or PpoAgent(
-        env.state_dim(), env.action_space.n, config, rng
-    )
-    buffer = RolloutBuffer(env.episode_length, env.state_dim())
-    history = TrainingHistory()
-
-    for _ in range(episodes):
-        state = env.reset()
-        episode_return = 0.0
-        done = False
-        while not done:
-            action, log_prob, value = agent.act(state)
-            next_state, reward, done, info = env.step(action)
-            buffer.add(state, action, log_prob, value, reward, done)
-            episode_return += info["reward_raw"]
-            state = next_state
-        stats = agent.update(buffer, last_value=0.0)
-        history.episode_returns.append(episode_return)
-        history.update_stats.append(stats)
-    return agent, history
-
-
-def evaluate_agent(
-    env: EctHubEnv,
-    agent: PpoAgent,
-    *,
-    episodes: int,
-    greedy: bool = True,
-) -> np.ndarray:
-    """Daily Eq. 12 rewards over evaluation episodes, shape (episodes, days)."""
-    if episodes <= 0:
-        raise ModelError(f"episodes must be positive, got {episodes}")
-    days = env.config.episode_days
-    rewards = np.zeros((episodes, days))
-    for e in range(episodes):
-        state = env.reset()
-        done = False
-        while not done:
-            action = (
-                agent.greedy_action(state) if greedy else agent.act(state)[0]
-            )
-            state, _, done, _ = env.step(action)
-        daily = env.simulation.book.daily_rewards()
-        rewards[e, : len(daily)] = daily
-    return rewards
 
 
 @dataclass
@@ -204,25 +127,30 @@ def evaluate_fleet_agent(
     return returns
 
 
-def evaluate_scheduler(
-    env: EctHubEnv,
-    scheduler: Scheduler,
+def evaluate_daily_rewards(
+    env: FleetEnv,
+    policy: PpoAgent | FleetScheduler,
     *,
     episodes: int,
 ) -> np.ndarray:
-    """Daily rewards for a rule-based scheduler on the same environment."""
+    """Daily Eq. 12 rewards, shape ``(episodes, n_hubs, days)``.
+
+    ``policy`` is a trained :class:`PpoAgent`, acting greedily on the
+    Eq. 24 observations, or a :mod:`repro.fleet.schedulers` baseline run
+    on each episode's engine. Either way an episode's rewards are its
+    cost book's :meth:`~repro.fleet.costs.FleetCostBook.daily_rewards` —
+    the Fig. 13 series, whose mean is the Table III cell.
+    """
     if episodes <= 0:
         raise ModelError(f"episodes must be positive, got {episodes}")
-    days = env.config.episode_days
-    rewards = np.zeros((episodes, days))
-    action_map = {0: 0, 1: 1, -1: 2}
-    for e in range(episodes):
-        env.reset()
-        scheduler.reset()
-        done = False
-        while not done:
-            sbp = scheduler(env.simulation)
-            _, _, done, _ = env.step(action_map[int(sbp)])
-        daily = env.simulation.book.daily_rewards()
-        rewards[e, : len(daily)] = daily
-    return rewards
+    rewards = []
+    for _ in range(episodes):
+        states = env.reset()
+        if isinstance(policy, PpoAgent):
+            done = False
+            while not done:
+                states, _, done, _ = env.step(policy.greedy_actions(states))
+        else:
+            env.simulation.run(policy)
+        rewards.append(env.simulation.book.daily_rewards())
+    return np.stack(rewards)

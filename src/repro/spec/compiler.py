@@ -535,8 +535,7 @@ def build_fleet_env(spec: ScenarioSpec, *, rng=None):
     """
     # Local import: repro.rl pulls the nn stack, which the spec layer
     # must not load for plain (non-RL) builds.
-    from ..rl.env import EnvConfig
-    from ..rl.fleet_env import FleetEnv
+    from ..rl.fleet_env import EnvConfig, FleetEnv
 
     assembly = _assemble_fleet(spec)
     rl = spec.rl

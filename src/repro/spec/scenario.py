@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field, fields, is_dataclass
 from typing import Any, Mapping
 
@@ -52,6 +53,40 @@ def _check_int(label: str, value: Any, *, minimum: int) -> None:
     if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
         raise ConfigError(
             f"{label} must be an integer >= {minimum}, got {value!r}"
+        )
+
+
+def _check_float(
+    label: str,
+    value: Any,
+    *,
+    low: float = -math.inf,
+    high: float = math.inf,
+    low_open: bool = False,
+    high_open: bool = False,
+) -> None:
+    """Reject a real-valued field that is not a finite number in range.
+
+    ``bool`` is an ``int`` subclass but never a quantity, a string would
+    only fail later with a raw comparison error, and NaN slips past
+    every range comparison (then trains silently to NaN weights), so all
+    fail here; ``label`` names the field in the error. ``low``/``high``
+    bound the value, inclusive unless ``low_open``/``high_open``.
+    """
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, numbers.Real)
+        or not math.isfinite(value)
+        or value < low
+        or value > high
+        or (low_open and value == low)
+        or (high_open and value == high)
+    ):
+        left = "(" if low_open or low == -math.inf else "["
+        right = ")" if high_open or high == math.inf else "]"
+        raise ConfigError(
+            f"{label} must be a finite number in {left}{low:g}, {high:g}{right}, "
+            f"got {value!r}"
         )
 
 
@@ -175,14 +210,8 @@ class FleetSpec:
                     f"group counts sum to {total} but n_hubs is {self.n_hubs}; "
                     "drop n_hubs or make them agree"
                 )
-        if not 0.0 <= self.urban_fraction <= 1.0:
-            raise ConfigError(
-                f"urban_fraction must be in [0, 1], got {self.urban_fraction}"
-            )
-        if self.c_bp_per_slot < 0:
-            raise ConfigError(
-                f"c_bp_per_slot must be non-negative, got {self.c_bp_per_slot}"
-            )
+        _check_float("urban_fraction", self.urban_fraction, low=0.0, high=1.0)
+        _check_float("c_bp_per_slot", self.c_bp_per_slot, low=0.0)
 
     @property
     def resolved_n_hubs(self) -> int:
@@ -298,11 +327,12 @@ class BlackoutSpec:
     recovery_time_h: int = 4
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.outage_probability_per_hour <= 1.0:
-            raise ConfigError(
-                f"outage_probability_per_hour must be in [0, 1], got "
-                f"{self.outage_probability_per_hour}"
-            )
+        _check_float(
+            "outage_probability_per_hour",
+            self.outage_probability_per_hour,
+            low=0.0,
+            high=1.0,
+        )
         _check_int("recovery_time_h", self.recovery_time_h, minimum=0)
 
 
@@ -354,35 +384,24 @@ class PricingSpec:
                 f"unknown pricing policy {self.policy!r}; "
                 f"available: {', '.join(PRICING_POLICIES)}"
             )
-        if not 0.0 <= self.discount_level < 1.0:
-            raise ConfigError(
-                f"pricing discount_level must be in [0, 1), got "
-                f"{self.discount_level}"
-            )
-        if not 0.0 < self.budget_fraction <= 1.0:
-            raise ConfigError(
-                f"pricing budget_fraction must be in (0, 1], got "
-                f"{self.budget_fraction}"
-            )
+        _check_float(
+            "pricing discount_level", self.discount_level,
+            low=0.0, high=1.0, high_open=True,
+        )
+        _check_float(
+            "pricing budget_fraction", self.budget_fraction,
+            low=0.0, high=1.0, low_open=True,
+        )
         for name in ("train_days", "epochs", "batch_size"):
             _check_int(f"pricing {name}", getattr(self, name), minimum=1)
-        if not (
-            math.isfinite(self.learning_rate) and self.learning_rate > 0
-        ):
-            raise ConfigError(
-                f"pricing learning_rate must be positive, got "
-                f"{self.learning_rate}"
-            )
-        if not 0.0 < self.always_avoidance_threshold <= 1.0:
-            raise ConfigError(
-                f"pricing always_avoidance_threshold must be in (0, 1], got "
-                f"{self.always_avoidance_threshold}"
-            )
-        if not math.isfinite(self.congestion_weight) or self.congestion_weight < 0:
-            raise ConfigError(
-                f"pricing congestion_weight must be finite and non-negative, "
-                f"got {self.congestion_weight}"
-            )
+        _check_float(
+            "pricing learning_rate", self.learning_rate, low=0.0, low_open=True
+        )
+        _check_float(
+            "pricing always_avoidance_threshold", self.always_avoidance_threshold,
+            low=0.0, high=1.0, low_open=True,
+        )
+        _check_float("pricing congestion_weight", self.congestion_weight, low=0.0)
 
 
 @dataclass(frozen=True)
@@ -428,20 +447,15 @@ class RlSpec:
                      "eval_episodes", "update_epochs", "batch_size"):
             _check_int(f"rl {name}", getattr(self, name), minimum=1)
         for name in ("reward_scale", "learning_rate", "max_grad_norm"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(
-                    f"rl {name} must be positive, got {getattr(self, name)}"
-                )
-        if self.weight_decay < 0 or self.value_coef < 0 or self.entropy_coef < 0:
-            raise ConfigError("rl coefficients must be non-negative")
-        if not 0.0 < self.gamma <= 1.0 or not 0.0 <= self.gae_lambda <= 1.0:
-            raise ConfigError(
-                f"rl gamma/gae_lambda invalid: ({self.gamma}, {self.gae_lambda})"
-            )
-        if not 0.0 < self.clip_epsilon < 1.0:
-            raise ConfigError(
-                f"rl clip_epsilon must be in (0, 1), got {self.clip_epsilon}"
-            )
+            _check_float(f"rl {name}", getattr(self, name), low=0.0, low_open=True)
+        for name in ("weight_decay", "value_coef", "entropy_coef"):
+            _check_float(f"rl {name}", getattr(self, name), low=0.0)
+        _check_float("rl gamma", self.gamma, low=0.0, high=1.0, low_open=True)
+        _check_float("rl gae_lambda", self.gae_lambda, low=0.0, high=1.0)
+        _check_float(
+            "rl clip_epsilon", self.clip_epsilon,
+            low=0.0, high=1.0, low_open=True, high_open=True,
+        )
         sizes = self.hidden_sizes
         if not isinstance(sizes, tuple):
             object.__setattr__(self, "hidden_sizes", tuple(sizes))
@@ -510,18 +524,11 @@ class RunSpec:
                 f"unknown run backend {self.backend!r}; "
                 f"available: {', '.join(BACKENDS)}"
             )
-        if not math.isfinite(self.scale) or self.scale <= 0:
-            raise ConfigError(f"scale must be finite and positive, got {self.scale}")
-        if not 0.0 <= self.initial_soc_fraction <= 1.0:
-            raise ConfigError(
-                f"initial_soc_fraction must be in [0, 1], got "
-                f"{self.initial_soc_fraction}"
-            )
-        if not math.isfinite(self.voll_per_kwh) or self.voll_per_kwh < 0:
-            raise ConfigError(
-                f"voll_per_kwh must be finite and non-negative, got "
-                f"{self.voll_per_kwh}"
-            )
+        _check_float("scale", self.scale, low=0.0, low_open=True)
+        _check_float(
+            "initial_soc_fraction", self.initial_soc_fraction, low=0.0, high=1.0
+        )
+        _check_float("voll_per_kwh", self.voll_per_kwh, low=0.0)
 
 
 @dataclass(frozen=True)

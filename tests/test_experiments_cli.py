@@ -100,6 +100,38 @@ class TestFastRunners:
         assert a.data["correlation"] != b.data["correlation"]
 
 
+class TestSchedulerClaims:
+    """abl-sched states its "dp-oracle >= ppo > heuristics" claim as a
+    verdict computed from the rows, never as unconditional prose."""
+
+    ROWS = {
+        "dp-oracle (bound)": 244.6,
+        "greedy-renewable": 231.8,
+        "idle": 228.9,
+        "ppo (ECT-DRL)": 224.7,
+        "random": 213.3,
+    }
+
+    def test_ppo_losing_to_a_heuristic_fails_the_claim(self):
+        from repro.experiments.ablations import scheduler_claims
+
+        claims, lines = scheduler_claims(self.ROWS)
+        assert claims == {"dp-oracle >= ppo": True, "ppo > heuristics": False}
+        assert lines == [
+            "claim dp-oracle >= ppo: holds (dp-oracle 244.6, ppo 224.7)",
+            "claim ppo > heuristics: fails "
+            "(ppo 224.7, best heuristic greedy-renewable 231.8)",
+        ]
+
+    def test_ppo_above_every_heuristic_holds(self):
+        from repro.experiments.ablations import scheduler_claims
+
+        rows = dict(self.ROWS, **{"ppo (ECT-DRL)": 240.0})
+        claims, lines = scheduler_claims(rows)
+        assert all(claims.values())
+        assert lines[1].startswith("claim ppo > heuristics: holds")
+
+
 class TestCli:
     def test_list(self, capsys):
         assert main(["list"]) == 0

@@ -1,9 +1,10 @@
 """Tests for the batched fleet RL stack: FleetEnv, fleet buffer, fleet PPO.
 
-The anchor is the equivalence chain: a ``FleetEnv`` at ``n_hubs=1`` must
-reproduce ``EctHubEnv`` episodes (observations bit-for-bit, rewards within
-the engines' atol-1e-9 bound), and per-hub fleet rewards must match the
-``FleetCostBook`` slot for slot. On top sit episode-sampling edges
+The anchor is the equivalence chain: a ``FleetEnv`` episode at
+``n_hubs=1`` must step like a ``HubSimulation`` over the same realised
+inputs (rewards within the engines' atol-1e-9 bound), its observations
+must be the Eq. 24 windows of the scenario traces, and per-hub fleet
+rewards must match the ``FleetCostBook`` slot for slot. On top sit episode-sampling edges
 (max-start flush, seeded determinism, invalid actions), the feeder-aware
 observation block, per-hub GAE, and the train-fleet schedule.
 """
@@ -16,16 +17,16 @@ import pytest
 from repro import api
 from repro.errors import EnvError, ModelError
 from repro.hub import ScenarioConfig, build_fleet_scenarios, fleet_behavior_model
+from repro.hub.simulation import HubSimulation
 from repro.rng import RngFactory
 from repro.rl import (
+    ACTION_TO_SBP,
     FEEDER_OBS_CLIP,
-    EctHubEnv,
     EnvConfig,
     FleetEnv,
     FleetRolloutBuffer,
     PpoAgent,
     PpoConfig,
-    RolloutBuffer,
     evaluate_fleet_agent,
     train_fleet_ppo,
 )
@@ -63,55 +64,95 @@ def make_fleet_env(scenarios, behavior, *, seed=5, n_hubs=None, **kwargs):
     )
 
 
-class TestScalarEquivalence:
-    """FleetEnv(n_hubs=1) episodes == EctHubEnv episodes."""
+def hub_reference(env: FleetEnv) -> HubSimulation:
+    """A ``HubSimulation`` over a one-hub env's realised episode.
 
-    def _pair(self, fleet_setup, *, outage=None, seed=5):
-        scenarios, behavior = fleet_setup
-        scalar = EctHubEnv(
-            scenarios[0],
-            behavior,
-            np.zeros(N_HOURS),
-            config=EnvConfig(episode_days=EPISODE_DAYS),
-            rng=RngFactory(seed=seed).stream("env"),
-            outage=outage,
-        )
-        fleet = make_fleet_env(
-            scenarios, behavior, seed=seed, n_hubs=1, outage=outage
-        )
-        return scalar, fleet
+    Call right after ``reset()``: occupancy, discount and the initial SoC
+    are read off the episode's engine, the rest is the scenario's own
+    traces sliced to the episode window.
+    """
+    sim = env.simulation
+    scenario = env.scenarios[0]
+    start, stop = env._start, env._start + env.episode_length
+    occupied = np.zeros(scenario.n_hours, dtype=int)
+    occupied[start:stop] = sim.inputs.occupied[0]
+    discount = np.zeros(scenario.n_hours)
+    discount[start:stop] = sim.inputs.discount[0]
+    soc = float(sim.soc_fraction[0])
+    inputs = scenario.inputs_with_occupancy(
+        occupied,
+        discount,
+        outage=None if env.outage is None else env.outage[0],
+    ).slice(start, stop)
+    return HubSimulation(
+        scenario.build_hub(initial_soc_fraction=soc), inputs, initial_soc_fraction=soc
+    )
+
+
+def eq24_state(env: FleetEnv, hub: HubSimulation) -> np.ndarray:
+    """The Eq. 24 state from the scenario traces and the reference SoC."""
+    scenario = env.scenarios[0]
+    w = env.config.window_h
+    t_abs = env._start + hub.t
+
+    def window(trace, t):
+        values = trace[t : t + w]
+        return np.pad(values, (0, w - len(values)), mode="edge")
+
+    srtp = (
+        scenario.hub_config.charging_station.base_price_kwh
+        * (1.0 - hub.inputs.discount)
+    )
+    return np.concatenate(
+        [
+            window(scenario.rtp_kwh, t_abs) / 0.1,
+            window(scenario.irradiance_w_m2, t_abs) / 1000.0,
+            window(scenario.wind_speed_m_s, t_abs) / 25.0,
+            window(scenario.load_rate, t_abs),
+            window(srtp, hub.t) / 0.5,
+            [hub.hub.battery.soc_fraction],
+        ]
+    )
+
+
+class TestScalarEquivalence:
+    """FleetEnv(n_hubs=1) episodes == HubSimulation + the Eq. 24 state."""
 
     def test_episode_rewards_and_observations_match(self, fleet_setup):
-        scalar, fleet = self._pair(fleet_setup)
-        s1, sN = scalar.reset(), fleet.reset()
-        assert scalar._start == fleet._start
-        assert np.array_equal(s1, sN[0])
+        scenarios, behavior = fleet_setup
+        env = make_fleet_env(scenarios, behavior, n_hubs=1)
+        state = env.reset()
+        hub = hub_reference(env)
+        assert np.array_equal(state[0], eq24_state(env, hub))
         action_rng = np.random.default_rng(2)
         done = False
         while not done:
             action = int(action_rng.integers(0, 3))
-            s1, r1, done, _ = scalar.step(action)
-            sN, rN, fleet_done, _ = fleet.step(np.array([action]))
-            assert done == fleet_done
-            assert rN[0] == pytest.approx(r1, abs=1e-9)
+            state, reward, done, _ = env.step(np.array([action]))
+            ledger = hub.step(ACTION_TO_SBP[action])
+            assert done == hub.done
+            assert reward[0] * env.config.reward_scale == pytest.approx(
+                ledger.reward, abs=1e-9
+            )
             if not done:
-                assert np.allclose(s1, sN[0], atol=1e-9)
+                assert np.allclose(state[0], eq24_state(env, hub), atol=1e-9)
 
     def test_equivalence_holds_under_blackouts(self, fleet_setup):
+        scenarios, behavior = fleet_setup
         outage = np.zeros(N_HOURS, dtype=bool)
         outage[::7] = True  # outages scattered through every episode window
-        scalar, fleet = self._pair(fleet_setup, outage=outage)
-        scalar.reset()
-        fleet.reset()
-        total_scalar, total_fleet = 0.0, 0.0
+        env = make_fleet_env(scenarios, behavior, n_hubs=1, outage=outage)
+        env.reset()
+        hub = hub_reference(env)
+        total_hub, total_fleet = 0.0, 0.0
         done = False
         while not done:
-            _, r1, done, i1 = scalar.step(1)
-            _, rN, _, iN = fleet.step(np.array([1]))
-            total_scalar += i1["reward_raw"]
-            total_fleet += float(iN["reward_raw"][0])
-        assert fleet.simulation.book.blackout[:, : fleet.episode_length].any()
-        assert total_fleet == pytest.approx(total_scalar, abs=1e-9)
+            _, _, done, info = env.step(np.array([1]))
+            total_hub += hub.step(ACTION_TO_SBP[1]).reward
+            total_fleet += float(info["reward_raw"][0])
+        assert env.simulation.book.blackout[:, : env.episode_length].any()
+        assert any(ledger.blackout for ledger in hub.book.ledgers)
+        assert total_fleet == pytest.approx(total_hub, abs=1e-9)
 
     def test_rewards_match_cost_book_slot_for_slot(self, fleet_setup):
         scenarios, behavior = fleet_setup
@@ -300,7 +341,8 @@ class TestFleetRolloutBuffer:
     def test_per_hub_gae_matches_scalar_buffer(self, rng):
         n_steps, n_envs = 6, 3
         fleet = FleetRolloutBuffer(n_steps, n_envs, 2)
-        scalars = [RolloutBuffer(n_steps, 2) for _ in range(n_envs)]
+        # The per-hub reference: one n_envs=1 buffer per hub.
+        scalars = [FleetRolloutBuffer(n_steps, 1, 2) for _ in range(n_envs)]
         data_rng = np.random.default_rng(0)
         for t in range(n_steps):
             rewards = data_rng.normal(size=n_envs)
@@ -311,14 +353,13 @@ class TestFleetRolloutBuffer:
             fleet.add(np.zeros((n_envs, 2)), np.zeros(n_envs, dtype=int),
                       np.zeros(n_envs), values, rewards, dones)
             for i, buf in enumerate(scalars):
-                buf.add(np.zeros(2), 0, 0.0, values[i], rewards[i], bool(dones[i]))
+                buf.add(np.zeros((1, 2)), np.zeros(1, dtype=int), np.zeros(1),
+                        values[i : i + 1], rewards[i : i + 1], dones[i : i + 1])
         fleet.compute_advantages(0.0, gamma=0.9, gae_lambda=0.8, normalize=False)
         for i, buf in enumerate(scalars):
             buf.compute_advantages(0.0, gamma=0.9, gae_lambda=0.8, normalize=False)
-            assert fleet._advantages[:, i] == pytest.approx(
-                buf.advantages[:n_steps]
-            )
-            assert fleet._returns[:, i] == pytest.approx(buf.returns[:n_steps])
+            assert fleet._advantages[:, i] == pytest.approx(buf.advantages)
+            assert fleet._returns[:, i] == pytest.approx(buf.returns)
 
     def test_per_hub_bootstrap_values(self):
         fleet = FleetRolloutBuffer(1, 2, 1)

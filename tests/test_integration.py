@@ -16,7 +16,7 @@ from repro.causal.policy import discount_schedule_for_hub
 from repro.experiments.pricing_common import run_pricing_study
 from repro.experiments.scheduling_common import time_ids_for_slots
 from repro.hub import ScenarioConfig, build_fleet_scenarios, fleet_behavior_model
-from repro.rl import EctHubEnv, EnvConfig, evaluate_agent, train_ppo
+from repro.rl import EnvConfig, FleetEnv, evaluate_daily_rewards, train_fleet_ppo
 from repro.rng import RngFactory
 from repro.synth.charging import ChargingBehaviorModel, ChargingConfig
 
@@ -83,15 +83,18 @@ class TestFullLoop:
         assert schedule.shape == (config.n_hours,)
         assert set(np.unique(schedule)) <= {0.0, 0.2}
 
-        env = EctHubEnv(
-            scenario,
+        env = FleetEnv(
+            [scenario],
             study.behavior,
             schedule,
             config=EnvConfig(episode_days=5),
             rng=factory.stream("loop/env"),
         )
-        agent, history = train_ppo(env, episodes=2, rng=factory.stream("loop/ppo"))
-        daily = evaluate_agent(env, agent, episodes=1)
+        agent, history = train_fleet_ppo(
+            env, episodes=2, rng=factory.stream("loop/ppo")
+        )
+        daily = evaluate_daily_rewards(env, agent, episodes=1)
+        assert daily.shape == (1, 1, 5)
         assert np.all(np.isfinite(daily))
         assert daily.mean() > 0  # the hub is profitable
 

@@ -1,4 +1,9 @@
-"""Tests for the ECT-DRL stack: env, buffer, PPO, schedulers, oracle."""
+"""Tests for the ECT-DRL stack: env, buffer, PPO, schedulers, oracle.
+
+Every study runs the batched :class:`FleetEnv`; the one-hub cases here
+are its ``n_hubs=1`` form, and the ``HubSimulation`` reference policies
+are driven on a :class:`~repro.hub.simulation.HubSimulation` directly.
+"""
 
 from __future__ import annotations
 
@@ -6,27 +11,30 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigError, EnvError, ModelError
+from repro.fleet import FleetIdleScheduler
 from repro.hub import ScenarioConfig, build_fleet_scenarios, fleet_behavior_model
 from repro.hub.scenario import resolve_occupancy
 from repro.rl import (
     ActorCritic,
     Box,
     Discrete,
-    EctHubEnv,
     EnvConfig,
+    FleetEnv,
+    FleetRolloutBuffer,
     GreedyRenewableScheduler,
     IdleScheduler,
     PpoAgent,
     PpoConfig,
     RandomScheduler,
-    RolloutBuffer,
     RuleBasedScheduler,
-    evaluate_agent,
-    evaluate_scheduler,
+    evaluate_daily_rewards,
     optimal_schedule,
-    train_ppo,
+    train_fleet_ppo,
 )
 from repro.rng import RngFactory
+
+#: One-hub action vectors.
+IDLE, CHARGE = np.array([0]), np.array([1])
 
 
 @pytest.fixture(scope="module")
@@ -41,12 +49,32 @@ def env_setup():
 @pytest.fixture()
 def env(env_setup):
     factory, scenario, behavior = env_setup
-    return EctHubEnv(
-        scenario,
+    return FleetEnv(
+        [scenario],
         behavior,
         np.zeros(scenario.n_hours),
         config=EnvConfig(episode_days=5),
         rng=factory.stream("env-test"),
+    )
+
+
+@pytest.fixture()
+def hub_sim(env_setup):
+    """A HubSimulation over the scenario for the reference policies."""
+    _, scenario, _ = env_setup
+    n = scenario.n_hours
+    return scenario.simulation(np.zeros(n, dtype=int), np.zeros(n))
+
+
+def add_transition(buffer, state, action, log_prob, value, reward, done):
+    """Append one transition to an ``n_envs=1`` buffer."""
+    buffer.add(
+        np.asarray(state, dtype=float).reshape(1, -1),
+        np.array([action]),
+        np.array([log_prob]),
+        np.array([value]),
+        np.array([reward]),
+        done,
     )
 
 
@@ -73,56 +101,50 @@ class TestSpaces:
 class TestEnv:
     def test_reset_returns_state(self, env):
         state = env.reset()
-        assert state.shape == (env.state_dim(),)
+        assert state.shape == (1, env.state_dim())
         assert env.state_dim() == 5 * 24 + 1
-
-    def test_step_before_reset_raises(self, env):
-        with pytest.raises(EnvError):
-            env.step(0)
 
     def test_episode_runs_to_done(self, env):
         env.reset()
         steps = 0
         done = False
         while not done:
-            _, reward, done, info = env.step(0)
-            assert np.isfinite(reward)
+            _, reward, done, info = env.step(IDLE)
+            assert np.all(np.isfinite(reward))
             assert "reward_raw" in info
             steps += 1
         assert steps == env.episode_length == 5 * 24
 
-    def test_invalid_action_rejected(self, env):
-        env.reset()
-        with pytest.raises(EnvError):
-            env.step(7)
-
     def test_reward_scaling(self, env):
         env.reset()
-        _, scaled_reward, _, info = env.step(0)
-        assert scaled_reward == pytest.approx(
-            info["reward_raw"] / env.config.reward_scale
+        _, scaled_reward, _, info = env.step(IDLE)
+        assert scaled_reward[0] == pytest.approx(
+            info["reward_raw"][0] / env.config.reward_scale
         )
 
     def test_soc_in_state_tracks_battery(self, env):
         state = env.reset()
-        assert state[-1] == pytest.approx(env.simulation.hub.battery.soc_fraction)
+        capacity = env.params.capacity_kwh[0]
+        assert state[0, -1] == pytest.approx(env.simulation.soc_kwh[0] / capacity)
+        state, _, _, _ = env.step(CHARGE)
+        assert state[0, -1] == pytest.approx(env.simulation.soc_kwh[0] / capacity)
 
     def test_schedule_length_validated(self, env_setup):
         factory, scenario, behavior = env_setup
         with pytest.raises(EnvError):
-            EctHubEnv(scenario, behavior, np.zeros(10))
+            FleetEnv([scenario], behavior, np.zeros(10))
 
     def test_outage_mask_reaches_simulation(self, env_setup):
         """Regression: reset() must not silently drop the blackout mask.
 
-        The episode inputs are rebuilt after slicing; the old field-by-field
-        reconstruction discarded ``outage``, so the RL env never trained on
-        blackouts even when given a mask.
+        The episode inputs are rebuilt after slicing; a field-by-field
+        reconstruction that discarded ``outage`` would mean the env never
+        trained on blackouts even when given a mask.
         """
         factory, scenario, behavior = env_setup
         outage = np.ones(scenario.n_hours, dtype=bool)
-        env = EctHubEnv(
-            scenario,
+        env = FleetEnv(
+            [scenario],
             behavior,
             np.zeros(scenario.n_hours),
             config=EnvConfig(episode_days=2),
@@ -132,66 +154,46 @@ class TestEnv:
         env.reset()
         sim_outage = env.simulation.inputs.outage
         assert sim_outage is not None
-        assert sim_outage.shape == (env.episode_length,)
+        assert sim_outage.shape == (1, env.episode_length)
         assert sim_outage.all()
-        _, _, _, info = env.step(1)
-        ledger = info["ledger"]
-        assert ledger.blackout
-        assert ledger.p_grid_kw == 0.0 and ledger.revenue == 0.0
+        _, _, _, info = env.step(CHARGE)
+        columns = info["columns"]
+        assert columns["blackout"][0]
+        assert columns["p_grid_kw"][0] == 0.0 and columns["revenue"][0] == 0.0
 
     def test_outage_mask_length_validated(self, env_setup):
         factory, scenario, behavior = env_setup
         with pytest.raises(EnvError):
-            EctHubEnv(
-                scenario,
+            FleetEnv(
+                [scenario],
                 behavior,
                 np.zeros(scenario.n_hours),
                 outage=np.ones(10, dtype=bool),
             )
 
     def test_windows_edge_padded_for_both_trace_lengths(self, env):
-        """Regression: _window must clamp against the trace it is given.
+        """Windows clamp against the trace they are given.
 
-        The SRTP window reads the episode-length trace; clamping against
-        the scenario horizon only worked through numpy slice truncation.
-        Both trace lengths must yield exactly ``window_h`` values with
-        edge padding past the end.
+        The SRTP window reads the episode-length trace, the other
+        features the scenario-length traces; both must yield exactly
+        ``window_h`` values with edge padding past the end.
         """
         env.reset()
         w = env.config.window_h
-        episode_trace = env._episode_srtp
-        assert len(episode_trace) == env.episode_length
-        near_end = env._window(episode_trace, env.episode_length - 1)
-        assert near_end.shape == (w,)
-        assert np.all(near_end == episode_trace[-1])
+        episode_trace = env._obs_srtp
+        assert episode_trace.shape == (1, env.episode_length)
+        near_end = env._windows(episode_trace, env.episode_length - 1)
+        assert near_end.shape == (1, w)
+        assert np.all(near_end == episode_trace[:, -1:])
 
-        scenario_trace = env.scenario.rtp_kwh
-        at_horizon = env._window(scenario_trace, env.scenario.n_hours - 1)
-        assert at_horizon.shape == (w,)
-        assert np.all(at_horizon == scenario_trace[-1])
+        scenario_trace = env._obs_rtp
+        n_hours = env.scenarios[0].n_hours
+        at_horizon = env._windows(scenario_trace, n_hours - 1)
+        assert at_horizon.shape == (1, w)
+        assert np.all(at_horizon == scenario_trace[:, -1:])
         # Interior windows are untouched slices of the trace.
-        interior = env._window(episode_trace, 0)
-        assert np.array_equal(interior, episode_trace[:w])
-
-    def test_reset_at_max_start_flushes_against_horizon(self, env_setup):
-        """An episode as long as the scenario forces start == max_start == 0."""
-        factory, scenario, behavior = env_setup
-        env = EctHubEnv(
-            scenario,
-            behavior,
-            np.zeros(scenario.n_hours),
-            config=EnvConfig(episode_days=scenario.n_hours // 24),
-            rng=factory.stream("flush-test"),
-        )
-        state = env.reset()
-        assert env._start == 0
-        assert state.shape == (env.state_dim(),)
-        steps = 0
-        done = False
-        while not done:
-            state, _, done, _ = env.step(0)
-            steps += 1
-        assert steps == env.episode_length == scenario.n_hours
+        interior = env._windows(episode_trace, 0)
+        assert np.array_equal(interior, episode_trace[:, :w])
 
     def test_discounts_increase_occupancy(self, env_setup):
         """Evening discounts attract Incentive cells => more occupied slots."""
@@ -200,8 +202,8 @@ class TestEnv:
         evening = np.where(hours >= 18, 0.2, 0.0)
         occupancies = {}
         for name, schedule in (("none", np.zeros(scenario.n_hours)), ("evening", evening)):
-            env = EctHubEnv(
-                scenario, behavior, schedule,
+            env = FleetEnv(
+                [scenario], behavior, schedule,
                 config=EnvConfig(episode_days=20, random_initial_soc=False),
                 rng=factory.stream("occ-test"),
             )
@@ -209,27 +211,29 @@ class TestEnv:
             done = False
             total = 0
             while not done:
-                _, _, done, info = env.step(0)
-                total += info["ledger"].p_cs_kw > 0
+                _, _, done, info = env.step(IDLE)
+                total += info["columns"]["p_cs_kw"][0] > 0
             occupancies[name] = total
         assert occupancies["evening"] > occupancies["none"]
 
 
 class TestBuffer:
+    """GAE on the per-hub reference: a ``FleetRolloutBuffer(n_envs=1)``."""
+
     def test_add_and_capacity(self):
-        buffer = RolloutBuffer(2, 3)
-        buffer.add(np.zeros(3), 0, 0.0, 0.0, 1.0, False)
-        buffer.add(np.zeros(3), 1, 0.0, 0.0, 1.0, True)
+        buffer = FleetRolloutBuffer(2, 1, 3)
+        add_transition(buffer, np.zeros(3), 0, 0.0, 0.0, 1.0, False)
+        add_transition(buffer, np.zeros(3), 1, 0.0, 0.0, 1.0, True)
         assert buffer.full
         with pytest.raises(ModelError):
-            buffer.add(np.zeros(3), 0, 0.0, 0.0, 1.0, False)
+            add_transition(buffer, np.zeros(3), 0, 0.0, 0.0, 1.0, False)
 
     def test_gae_matches_hand_computation(self):
-        buffer = RolloutBuffer(3, 1)
+        buffer = FleetRolloutBuffer(3, 1, 1)
         rewards = [1.0, 0.0, 2.0]
         values = [0.5, 0.4, 0.3]
         for r, v in zip(rewards, values):
-            buffer.add(np.zeros(1), 0, 0.0, v, r, False)
+            add_transition(buffer, np.zeros(1), 0, 0.0, v, r, False)
         gamma, lam = 0.9, 0.8
         buffer.compute_advantages(
             last_value=0.2, gamma=gamma, gae_lambda=lam, normalize=False
@@ -248,22 +252,22 @@ class TestBuffer:
         )
 
     def test_done_cuts_bootstrap(self):
-        buffer = RolloutBuffer(2, 1)
-        buffer.add(np.zeros(1), 0, 0.0, 0.0, 1.0, True)
-        buffer.add(np.zeros(1), 0, 0.0, 0.0, 1.0, True)
+        buffer = FleetRolloutBuffer(2, 1, 1)
+        add_transition(buffer, np.zeros(1), 0, 0.0, 0.0, 1.0, True)
+        add_transition(buffer, np.zeros(1), 0, 0.0, 0.0, 1.0, True)
         buffer.compute_advantages(last_value=100.0, normalize=False)
         assert buffer.advantages[0] == pytest.approx(1.0)
 
     def test_minibatches_require_finalize(self, rng):
-        buffer = RolloutBuffer(4, 1)
-        buffer.add(np.zeros(1), 0, 0.0, 0.0, 1.0, False)
+        buffer = FleetRolloutBuffer(4, 1, 1)
+        add_transition(buffer, np.zeros(1), 0, 0.0, 0.0, 1.0, False)
         with pytest.raises(ModelError):
             list(buffer.minibatches(2, rng))
 
     def test_normalized_advantages(self, rng):
-        buffer = RolloutBuffer(8, 1)
+        buffer = FleetRolloutBuffer(8, 1, 1)
         for i in range(8):
-            buffer.add(np.zeros(1), 0, 0.0, 0.0, float(i), i == 7)
+            add_transition(buffer, np.zeros(1), 0, 0.0, 0.0, float(i), i == 7)
         buffer.compute_advantages(0.0)
         adv = buffer.advantages[:8]
         assert abs(adv.mean()) < 1e-9
@@ -278,10 +282,11 @@ class TestActorCriticAndPpo:
 
     def test_act_returns_valid(self, rng):
         net = ActorCritic(6, 3, rng)
-        action, log_prob, value = net.act(np.zeros(6), rng)
-        assert action in (0, 1, 2)
-        assert log_prob <= 0.0
-        assert np.isfinite(value)
+        actions, log_probs, values = net.act_batch(np.zeros((1, 6)), rng)
+        assert actions.shape == log_probs.shape == values.shape == (1,)
+        assert actions[0] in (0, 1, 2)
+        assert log_probs[0] <= 0.0
+        assert np.isfinite(values[0])
 
     def test_evaluate_actions_gradients_flow(self, rng):
         net = ActorCritic(4, 3, rng)
@@ -295,25 +300,24 @@ class TestActorCriticAndPpo:
     def test_ppo_learns_bandit(self, rng):
         """PPO should learn to pick the rewarded action in a trivial bandit."""
         agent = PpoAgent(2, 3, PpoConfig(learning_rate=0.01), rng)
-        buffer = RolloutBuffer(64, 2)
-        state = np.ones(2)
+        buffer = FleetRolloutBuffer(64, 1, 2)
+        states = np.ones((1, 2))
         for _ in range(30):
             for _ in range(64):
-                action, log_prob, value = agent.act(state)
-                reward = 1.0 if action == 2 else 0.0
-                buffer.add(state, action, log_prob, value, reward, True)
+                actions, log_probs, values = agent.act_batch(states)
+                rewards = (actions == 2).astype(float)
+                buffer.add(states, actions, log_probs, values, rewards, True)
             agent.update(buffer)
-        counts = np.bincount(
-            [agent.act(state)[0] for _ in range(100)], minlength=3
-        )
+        counts = np.bincount(agent.act_batch(np.ones((100, 2)))[0], minlength=3)
         assert counts[2] > 60
 
     def test_update_stats_fields(self, rng):
         agent = PpoAgent(2, 3, PpoConfig(), rng)
-        buffer = RolloutBuffer(8, 2)
+        buffer = FleetRolloutBuffer(8, 1, 2)
+        states = np.zeros((1, 2))
         for i in range(8):
-            action, lp, v = agent.act(np.zeros(2))
-            buffer.add(np.zeros(2), action, lp, v, 1.0, i == 7)
+            actions, log_probs, values = agent.act_batch(states)
+            buffer.add(states, actions, log_probs, values, np.ones(1), i == 7)
         stats = agent.update(buffer)
         assert np.isfinite(stats.policy_loss)
         assert np.isfinite(stats.value_loss)
@@ -326,8 +330,7 @@ class TestActorCriticAndPpo:
 
 
 class TestSchedulersAndTraining:
-    def test_schedulers_return_valid_actions(self, env, factory):
-        env.reset()
+    def test_schedulers_return_valid_actions(self, hub_sim, factory):
         for scheduler in (
             IdleScheduler(),
             RandomScheduler(factory.stream("rs")),
@@ -335,40 +338,39 @@ class TestSchedulersAndTraining:
             GreedyRenewableScheduler(),
         ):
             scheduler.reset()
-            action = scheduler(env.simulation)
+            action = scheduler(hub_sim)
             assert action in (-1, 0, 1)
 
-    def test_rule_based_charges_cheap_discharges_expensive(self, env):
-        env.reset()
+    def test_rule_based_charges_cheap_discharges_expensive(self, hub_sim):
         scheduler = RuleBasedScheduler()
         scheduler.reset()
-        sim = env.simulation
-        prices = sim.inputs.rtp_kwh
-        cheap_slot = int(np.argmin(prices))
-        expensive_slot = int(np.argmax(prices))
-        sim._t = cheap_slot
-        assert scheduler(sim) == 1
-        sim._t = expensive_slot
-        assert scheduler(sim) == -1
-        sim._t = 0
+        prices = hub_sim.inputs.rtp_kwh
+        hub_sim._t = int(np.argmin(prices))
+        assert scheduler(hub_sim) == 1
+        hub_sim._t = int(np.argmax(prices))
+        assert scheduler(hub_sim) == -1
 
     def test_train_and_evaluate_smoke(self, env, factory):
-        agent, history = train_ppo(env, episodes=2, rng=factory.stream("t"))
+        agent, history = train_fleet_ppo(env, episodes=2, rng=factory.stream("t"))
         assert len(history.episode_returns) == 2
-        daily = evaluate_agent(env, agent, episodes=1)
-        assert daily.shape == (1, 5)
+        daily = evaluate_daily_rewards(env, agent, episodes=1)
+        assert daily.shape == (1, 1, 5)
         assert np.all(np.isfinite(daily))
+        # The daily series is the last episode's cost-book rollup.
+        assert np.array_equal(daily[-1], env.simulation.book.daily_rewards())
 
     def test_evaluate_scheduler_smoke(self, env):
-        daily = evaluate_scheduler(env, IdleScheduler(), episodes=1)
-        assert daily.shape == (1, 5)
+        daily = evaluate_daily_rewards(env, FleetIdleScheduler(), episodes=2)
+        assert daily.shape == (2, 1, 5)
+        assert np.array_equal(daily[-1], env.simulation.book.daily_rewards())
+        assert (env.simulation.book.action == 0).all()
 
     def test_invalid_episode_counts(self, env, factory):
         with pytest.raises(ModelError):
-            train_ppo(env, episodes=0)
+            train_fleet_ppo(env, episodes=0)
         agent = PpoAgent(env.state_dim(), 3, rng=factory.stream("a"))
         with pytest.raises(ModelError):
-            evaluate_agent(env, agent, episodes=0)
+            evaluate_daily_rewards(env, agent, episodes=0)
 
 
 class TestDpOracle:

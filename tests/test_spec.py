@@ -209,6 +209,33 @@ def test_int_fields_reject_bools_fractions_and_strings(tmp_path, capsys, path):
             ScenarioSpec.load(bad)
 
 
+FLOAT_FIELDS = (
+    "fleet.urban_fraction fleet.c_bp_per_slot "
+    "blackout.outage_probability_per_hour pricing.discount_level "
+    "pricing.budget_fraction pricing.learning_rate "
+    "pricing.always_avoidance_threshold pricing.congestion_weight "
+    "rl.reward_scale rl.learning_rate rl.weight_decay rl.gamma "
+    "rl.gae_lambda rl.clip_epsilon rl.value_coef rl.entropy_coef "
+    "rl.max_grad_norm run.scale run.initial_soc_fraction run.voll_per_kwh"
+).split()
+
+
+@pytest.mark.parametrize("path", FLOAT_FIELDS)
+def test_float_fields_reject_bools_non_finite_and_strings(capsys, path):
+    """A bool, NaN, inf or string in a real-valued field is a ConfigError
+    naming the field — never a silent NaN run or a raw comparison
+    TypeError — from ``--set`` and from the library alike."""
+    from repro.cli import main
+
+    leaf = path.rsplit(".", 1)[-1]
+    for value in (True, float("nan"), float("inf"), "fast"):
+        with pytest.raises(ConfigError, match=f"{leaf} must be a finite number"):
+            get_preset("fleet-price").with_overrides({path: value})
+    for raw in ("true", "NaN", "fast"):
+        assert main(["price", "--set", f"{path}={raw}"]) == 1
+        assert f"{leaf} must be a finite number" in capsys.readouterr().err
+
+
 class TestOverrides:
     def test_dotted_leaf_override(self):
         spec = ScenarioSpec().with_overrides({"run.seed": 9})
