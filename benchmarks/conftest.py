@@ -5,7 +5,7 @@ prints the paper-vs-measured report. ``pedantic`` single-round execution is
 used because the workloads are full experiments, not micro-kernels.
 
 Scale: set ``ECT_BENCH_SCALE`` (default shown per bench) to trade fidelity
-for runtime; EXPERIMENTS.md records results at the defaults.
+for runtime; ``benchmarks/reports/`` records results at the defaults.
 """
 
 from __future__ import annotations
@@ -84,21 +84,24 @@ def timed_once(sim) -> float:
 def paired_times(first, second, pairs: int):
     """Interleaved ``(first_s, second_s)`` run times, one sample per pair.
 
+    ``first`` and ``second`` are zero-argument callables that run once and
+    return their own wall time in seconds (e.g. :func:`timed_once` bound
+    to an engine), so each caller decides what the clock covers.
     One untimed warm-up each first: the initial pass pays page faults,
-    allocator growth and frequency ramp. The engine timed first
-    alternates per pair, so slow drift on a shared host cannot favour
-    either side; gate on the median of the per-pair ratios.
+    allocator growth and frequency ramp. The side timed first alternates
+    per pair, so slow drift on a shared host cannot favour either side;
+    gate on the median of the per-pair ratios.
     """
-    timed_once(first)
-    timed_once(second)
+    first()
+    second()
     first_s, second_s = [], []
     for pair in range(pairs):
         if pair % 2:
-            second_s.append(timed_once(second))
-            first_s.append(timed_once(first))
+            second_s.append(second())
+            first_s.append(first())
         else:
-            first_s.append(timed_once(first))
-            second_s.append(timed_once(second))
+            first_s.append(first())
+            second_s.append(second())
     return np.array(first_s), np.array(second_s)
 
 

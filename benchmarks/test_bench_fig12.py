@@ -1,4 +1,4 @@
-"""Bench: regenerate paper artifact fig12 (see DESIGN.md §4)."""
+"""Bench: regenerate paper artifact fig12 into benchmarks/reports/."""
 
 from conftest import bench_scale
 

@@ -1,4 +1,4 @@
-"""Bench: regenerate paper artifact fig5 (see DESIGN.md §4)."""
+"""Bench: regenerate paper artifact fig5 into benchmarks/reports/."""
 
 from conftest import bench_scale
 

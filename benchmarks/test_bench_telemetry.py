@@ -27,10 +27,11 @@ the shrunken arithmetic and timer noise dominates.
 from __future__ import annotations
 
 import os
+from functools import partial
 
 import numpy as np
 
-from conftest import paired_times, perf_relaxed, write_perf_report
+from conftest import paired_times, perf_relaxed, timed_once, write_perf_report
 from repro import api
 from repro.telemetry import Telemetry
 
@@ -56,7 +57,9 @@ def test_bench_telemetry_overhead():
 
     telemetry = Telemetry()
     enabled.attach_telemetry(telemetry)
-    disabled_s, enabled_s = paired_times(disabled, enabled, PAIRS)
+    disabled_s, enabled_s = paired_times(
+        partial(timed_once, disabled), partial(timed_once, enabled), PAIRS
+    )
     enabled.attach_telemetry(None)
     disabled_book, enabled_book = disabled.book, enabled.book
     # The warm-up run is booked too: every enabled run counts.

@@ -14,10 +14,9 @@ which it takes from an :class:`~repro.backend.base.ArrayOps` instance
 
 Selection threads through the whole spine: ``RunSpec.backend`` (JSON
 round-trippable, ``--set run.backend=...`` overridable), the spec
-compiler, ``api.run``/sweeps/pricing/RL, the ``ect-hub fleet --backend``
-CLI flag, and shard/sweep workers (children re-resolve the spec's
-backend in their own process). The telemetry run fingerprint records
-which backend actually executed.
+compiler, ``api.run``/sweeps/pricing/RL, and shard/sweep workers
+(children re-resolve the spec's backend in their own process). The
+telemetry run fingerprint records which backend actually executed.
 """
 
 from .base import ArrayOps

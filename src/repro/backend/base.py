@@ -7,8 +7,8 @@ directly. The one exception is the battery block of the slot step,
 advance sequence, the only region a JIT backend can profitably fuse into
 a single per-hub loop. The engine resolves an :class:`ArrayOps` once per
 construction (:func:`repro.backend.registry.get_backend`) and calls its
-``resolve_battery`` every step; ``RunSpec.backend`` and the CLI
-``--backend`` flag select it.
+``resolve_battery`` every step; ``RunSpec.backend`` (CLI
+``--set run.backend=...``) selects it.
 
 The numpy reference (:class:`~repro.backend.numpy_backend.NumpyOps`) is
 held to byte identity (preset golden exports unchanged, test-enforced);

@@ -3,7 +3,8 @@
 Implements §IV-A of the paper: the CF-MTL stratification + propensity model
 (:mod:`.ect_price`, Eqs. 13–23), the NCF base model and labeler
 (:mod:`.ncf`), the OR / IPS / DR baselines (:mod:`.baselines`), discount
-policies (:mod:`.policy`), and the verified Table II metric
+policies and the one trainer every learned method goes through
+(:func:`.policy.train_policy`), and the verified Table II metric
 (:mod:`.evaluation`).
 """
 
@@ -33,6 +34,7 @@ from .policy import (
     OraclePolicy,
     UpliftPolicy,
     discount_schedule_for_hub,
+    train_policy,
 )
 from .strata import (
     Stratum,
@@ -72,5 +74,6 @@ __all__ = [
     "render_table",
     "score_decision",
     "time_ids_for_slots",
+    "train_policy",
     "train_test_split_by_day",
 ]

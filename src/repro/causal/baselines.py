@@ -81,14 +81,18 @@ class OutcomeRegression(UpliftModel):
         self._mu0 = NcfRegressor(n_stations, n_time_ids, self.config, rng, binary=True)
         self._fitted = False
 
-    def fit(self, dataset: PricingDataset) -> None:
+    def _fit_arms(self, dataset: PricingDataset) -> None:
+        """Fit ``μ₁`` on the treated items and ``μ₀`` on the controls."""
         treated = dataset.treated == 1
         if not treated.any() or treated.all():
-            raise ConfigError("OR requires both treated and control items")
+            raise ConfigError(f"{self.name} requires both treated and control items")
         t_set = dataset.subset(treated)
         c_set = dataset.subset(~treated)
         self._mu1.fit(t_set.station_ids, t_set.time_ids, t_set.charged)
         self._mu0.fit(c_set.station_ids, c_set.time_ids, c_set.charged)
+
+    def fit(self, dataset: PricingDataset) -> None:
+        self._fit_arms(dataset)
         self._fitted = True
 
     def predict(
@@ -123,12 +127,16 @@ class InversePropensityScoring(UpliftModel):
         )
         self._fitted = False
 
-    def fit(self, dataset: PricingDataset) -> None:
+    def _fit_propensity(self, dataset: PricingDataset) -> np.ndarray:
+        """Fit ``e(X)``; return its clipped estimates on the training items."""
         self._propensity.fit(dataset.station_ids, dataset.time_ids, dataset.treated)
-        e = np.clip(
+        return np.clip(
             self._propensity.predict(dataset.station_ids, dataset.time_ids),
             *PROPENSITY_CLIP,
         )
+
+    def fit(self, dataset: PricingDataset) -> None:
+        e = self._fit_propensity(dataset)
         y = dataset.charged.astype(float)
         t = dataset.treated.astype(float)
         transformed = y * t / e - y * (1.0 - t) / (1.0 - e)
@@ -146,8 +154,8 @@ class InversePropensityScoring(UpliftModel):
         )
 
 
-class DoublyRobust(UpliftModel):
-    """The AIPW / doubly-robust estimator."""
+class DoublyRobust(OutcomeRegression, InversePropensityScoring):
+    """The AIPW / doubly-robust estimator: OR's outcome arms, IPS's propensity."""
 
     name = "DR"
 
@@ -158,32 +166,14 @@ class DoublyRobust(UpliftModel):
         config: NcfConfig | None = None,
         rng: np.random.Generator | None = None,
     ) -> None:
-        self.config = config or NcfConfig()
+        # The four towers draw from one rng in this order: μ₁, μ₀, e, effect.
         rng = rng if rng is not None else np.random.default_rng(0)
-        self._mu1 = NcfRegressor(n_stations, n_time_ids, self.config, rng, binary=True)
-        self._mu0 = NcfRegressor(n_stations, n_time_ids, self.config, rng, binary=True)
-        self._propensity = NcfRegressor(
-            n_stations, n_time_ids, self.config, rng, binary=True
-        )
-        self._effect = NcfRegressor(
-            n_stations, n_time_ids, self.config, rng, binary=False
-        )
-        self._fitted = False
+        OutcomeRegression.__init__(self, n_stations, n_time_ids, config, rng)
+        InversePropensityScoring.__init__(self, n_stations, n_time_ids, config, rng)
 
     def fit(self, dataset: PricingDataset) -> None:
-        treated = dataset.treated == 1
-        if not treated.any() or treated.all():
-            raise ConfigError("DR requires both treated and control items")
-        t_set = dataset.subset(treated)
-        c_set = dataset.subset(~treated)
-        self._mu1.fit(t_set.station_ids, t_set.time_ids, t_set.charged)
-        self._mu0.fit(c_set.station_ids, c_set.time_ids, c_set.charged)
-        self._propensity.fit(dataset.station_ids, dataset.time_ids, dataset.treated)
-
-        e = np.clip(
-            self._propensity.predict(dataset.station_ids, dataset.time_ids),
-            *PROPENSITY_CLIP,
-        )
+        self._fit_arms(dataset)
+        e = self._fit_propensity(dataset)
         mu1 = self._mu1.predict(dataset.station_ids, dataset.time_ids)
         mu0 = self._mu0.predict(dataset.station_ids, dataset.time_ids)
         y = dataset.charged.astype(float)

@@ -17,7 +17,7 @@ outputs to observable cell indicators. Two loss forms are provided:
   same identification).
 * ``loss_form="mse"`` — the paper's Eq. 23 as printed: a sum of MSE terms
   between probability products and cell indicators. Kept for paper-exact
-  comparison; converges noticeably slower (see EXPERIMENTS.md).
+  comparison; converges noticeably slower (``ect-hub run abl-loss``).
 
 The identification table both forms encode:
 
@@ -56,7 +56,7 @@ from .. import nn
 from ..errors import ConfigError, NotFittedError
 from ..synth.charging import Stratum
 from .dataset import PricingDataset
-from .ncf import NcfConfig, NcfNetwork
+from .ncf import NcfConfig, NcfNetwork, fit_minibatches
 
 
 @dataclass(frozen=True)
@@ -200,23 +200,19 @@ class EctPriceModel:
 
     def fit(self, dataset: PricingDataset) -> list[float]:
         """Joint minimisation of Eq. 23; returns per-epoch mean losses."""
-        history: list[float] = []
-        for _ in range(self.config.epochs):
-            epoch_loss = 0.0
-            n_batches = 0
-            for idx in dataset.batches(self.config.batch_size, self._rng):
-                loss = self.loss(
-                    dataset.station_ids[idx],
-                    dataset.time_ids[idx],
-                    dataset.treated[idx],
-                    dataset.charged[idx],
-                )
-                self._optimizer.zero_grad()
-                loss.backward()
-                self._optimizer.step()
-                epoch_loss += loss.item()
-                n_batches += 1
-            history.append(epoch_loss / max(n_batches, 1))
+        history = fit_minibatches(
+            self._optimizer,
+            lambda idx: self.loss(
+                dataset.station_ids[idx],
+                dataset.time_ids[idx],
+                dataset.treated[idx],
+                dataset.charged[idx],
+            ),
+            len(dataset),
+            epochs=self.config.epochs,
+            batch_size=self.config.batch_size,
+            rng=self._rng,
+        )
         self._fitted = True
         return history
 
@@ -238,18 +234,6 @@ class EctPriceModel:
         strata = logits[:, :3]
         shifted = np.exp(strata - strata.max(axis=1, keepdims=True))
         return shifted / shifted.sum(axis=1, keepdims=True)
-
-    def predict_strata_normalized(
-        self, station_ids: np.ndarray, time_ids: np.ndarray
-    ) -> np.ndarray:
-        """Alias of :meth:`predict_strata` (already a simplex distribution)."""
-        return self.predict_strata(station_ids, time_ids)
-
-    def predict_stratum(
-        self, station_ids: np.ndarray, time_ids: np.ndarray
-    ) -> np.ndarray:
-        """Argmax stratum per item, as :class:`Stratum` integer codes."""
-        return self.predict_strata(station_ids, time_ids).argmax(axis=1)
 
     def predict_propensity(
         self, station_ids: np.ndarray, time_ids: np.ndarray

@@ -1,6 +1,6 @@
 """Table II evaluation: strata counts and the discount reward.
 
-The published Table II pins the metric down exactly (DESIGN.md §5): for the
+The published Table II pins the metric down exactly: for the
 set ``D`` of items a method discounts, with true strata and discount level
 ``c``,
 

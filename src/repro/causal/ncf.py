@@ -13,6 +13,7 @@ through hidden layers), fused into one logit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -47,6 +48,38 @@ class NcfConfig:
             raise ConfigError("weight_decay must be non-negative")
         if self.batch_size <= 0 or self.epochs <= 0:
             raise ConfigError("batch_size and epochs must be positive")
+
+
+def fit_minibatches(
+    optimizer: nn.Optimizer,
+    batch_loss: Callable[[np.ndarray], nn.Tensor],
+    n_items: int,
+    *,
+    epochs: int,
+    batch_size: int,
+    rng: np.random.Generator,
+) -> list[float]:
+    """The minibatch loop every pricing model trains through.
+
+    Each epoch draws one ``rng.permutation(n_items)``, and for each
+    consecutive ``batch_size`` slice of it backpropagates
+    ``batch_loss(indices)`` and steps ``optimizer``. Returns the per-epoch
+    mean loss.
+    """
+    history: list[float] = []
+    for _ in range(epochs):
+        order = rng.permutation(n_items)
+        epoch_loss = 0.0
+        n_batches = 0
+        for start in range(0, n_items, batch_size):
+            loss = batch_loss(order[start : start + batch_size])
+            optimizer.zero_grad()
+            loss.backward()
+            optimizer.step()
+            epoch_loss += loss.item()
+            n_batches += 1
+        history.append(epoch_loss / max(n_batches, 1))
+    return history
 
 
 class NcfNetwork(nn.Module):
@@ -123,26 +156,19 @@ class NcfRegressor:
         if sample_weight is not None:
             sample_weight = np.asarray(sample_weight, dtype=float).reshape(-1, 1)
 
-        history: list[float] = []
-        n = len(station_ids)
-        for _ in range(self.config.epochs):
-            order = self._rng.permutation(n)
-            epoch_loss = 0.0
-            n_batches = 0
-            for start in range(0, n, self.config.batch_size):
-                idx = order[start : start + self.config.batch_size]
-                loss = self._batch_loss(
-                    station_ids[idx],
-                    time_ids[idx],
-                    targets[idx],
-                    None if sample_weight is None else sample_weight[idx],
-                )
-                self._optimizer.zero_grad()
-                loss.backward()
-                self._optimizer.step()
-                epoch_loss += loss.item()
-                n_batches += 1
-            history.append(epoch_loss / max(n_batches, 1))
+        history = fit_minibatches(
+            self._optimizer,
+            lambda idx: self._batch_loss(
+                station_ids[idx],
+                time_ids[idx],
+                targets[idx],
+                None if sample_weight is None else sample_weight[idx],
+            ),
+            len(station_ids),
+            epochs=self.config.epochs,
+            batch_size=self.config.batch_size,
+            rng=self._rng,
+        )
         self._fitted = True
         return history
 

@@ -1,6 +1,6 @@
 """Discount policies: turning model outputs into per-item decisions.
 
-Protocol (reverse-engineered from Table II — see DESIGN.md §5): every
+Protocol (reverse-engineered from Table II; see :mod:`.evaluation`): every
 method ranks the test items by its own *expected discount reward* score and
 discounts the top items under a **fixed shared budget** (all Table II rows
 sum to the same 8,426 items), excluding items whose score is non-positive
@@ -25,9 +25,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ConfigError
+from ..rng import RngFactory
 from ..synth.charging import Stratum
-from .baselines import UpliftModel
-from .ect_price import EctPriceModel
+from .baselines import MODELS_PER_METHOD, UpliftModel, make_baseline
+from .dataset import PricingDataset
+from .ect_price import EctPriceConfig, EctPriceModel
+from .ncf import NcfConfig
 
 
 @dataclass(frozen=True)
@@ -240,6 +243,60 @@ class OraclePolicy(DiscountPolicy):
                 f"({len(self._strata)} vs {len(station_ids)})"
             )
         return (self._strata == int(Stratum.INCENTIVE)).astype(float)
+
+
+def train_policy(
+    method: str,
+    train: PricingDataset,
+    *,
+    epochs: int,
+    batch_size: int,
+    learning_rate: float,
+    always_avoidance_threshold: float,
+    rng_factory: RngFactory,
+) -> DiscountPolicy:
+    """Train one learned discount method on ``train``: the paper protocol.
+
+    ``method`` is ``"ours"`` (ECT-Price) or a baseline (``"or"``, ``"ips"``,
+    ``"dr"``). Every method gets ``epochs`` in total: ECT-Price spends them
+    on its one joint model, a baseline splits them across its
+    :data:`~repro.causal.baselines.MODELS_PER_METHOD` NCF models. Model
+    weights draw from the ``pricing/ours`` or ``pricing/{OR,IPS,DR}``
+    stream of ``rng_factory``.
+    """
+    if method == "ours":
+        model = EctPriceModel(
+            train.n_stations,
+            train.n_time_ids,
+            EctPriceConfig(
+                epochs=epochs, batch_size=batch_size, learning_rate=learning_rate
+            ),
+            rng_factory.stream("pricing/ours"),
+        )
+        model.fit(train)
+        return EctPricePolicy(
+            model, always_avoidance_threshold=always_avoidance_threshold
+        )
+    baselines = {name.lower(): name for name in MODELS_PER_METHOD}
+    if method not in baselines:
+        raise ConfigError(
+            f"unknown pricing method {method!r}; expected 'ours' or one of "
+            f"{sorted(baselines)}"
+        )
+    name = baselines[method]
+    baseline = make_baseline(
+        name,
+        train.n_stations,
+        train.n_time_ids,
+        NcfConfig(
+            epochs=max(epochs // MODELS_PER_METHOD[name], 1),
+            batch_size=batch_size,
+            learning_rate=learning_rate,
+        ),
+        rng_factory.stream(f"pricing/{name}"),
+    )
+    baseline.fit(train)
+    return UpliftPolicy(baseline)
 
 
 def discount_schedule_for_hub(

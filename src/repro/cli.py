@@ -9,8 +9,8 @@ Usage::
     ect-hub fleet --set fleet.n_hubs=200 [--set scheduler.name=greedy-renewable]
     ect-hub fleet --preset congested-city --set run.days=3
     ect-hub fleet --spec scenario.json --out results.json
-    ect-hub fleet --preset congested-city --shards 8 --storage windowed
-    ect-hub fleet --preset fleet-default --backend numba
+    ect-hub fleet --preset congested-city --shards 8 --set run.storage=windowed
+    ect-hub fleet --preset fleet-default --set run.backend=numba
 
     ect-hub train-fleet --set fleet.n_hubs=12 --set rl.train_episodes=100
     ect-hub train-fleet --preset congested-city --set rl.train_episodes=50
@@ -144,23 +144,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="partition the fleet feeder-aware and step shards in worker "
         "processes (byte-identical results; default: the spec's run.shards)",
-    )
-    fleet_p.add_argument(
-        "--storage",
-        choices=("dense", "windowed"),
-        default=None,
-        help="cost-book layout: 'windowed' folds slots into running "
-        "aggregates so memory stops scaling with the horizon "
-        "(sugar for --set run.storage=...)",
-    )
-    fleet_p.add_argument(
-        "--backend",
-        choices=("numpy", "numba"),
-        default=None,
-        help="battery-kernel backend of the engine step: 'numpy' "
-        "(reference, byte-identical) or 'numba' (optional JIT; falls "
-        "back to numpy with a warning when the package is missing) "
-        "(sugar for --set run.backend=...)",
     )
     fleet_p.add_argument("--out", type=str, default=None, help="write data as JSON")
 
@@ -437,10 +420,6 @@ def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "fleet":
         telemetry = _telemetry_session(args)
         spec = _scenario_spec(args)
-        if args.storage is not None:
-            spec = spec.with_overrides({"run.storage": args.storage})
-        if args.backend is not None:
-            spec = spec.with_overrides({"run.backend": args.backend})
         # --shards stays an api.run *argument* (not a spec override) so
         # the exported data["spec"] — and therefore the whole --out
         # payload — is byte-identical whatever the shard count.

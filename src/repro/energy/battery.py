@@ -6,7 +6,7 @@ bus (``S_BP = −1``), or idles (``S_BP = 0``). State of charge follows
 Eq. 4 with efficiency-scaled throughput, bounded by Eq. 5's
 ``[SoC_min, SoC_max]`` window.
 
-Two efficiency conventions are supported (DESIGN.md §6):
+Two efficiency conventions are supported:
 
 * ``paper_exact=True`` reproduces Eq. 3 literally: the bus-side power is
   ``S_BP · η · R`` and SoC changes by exactly that amount (discharge is a

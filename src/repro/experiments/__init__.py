@@ -1,6 +1,7 @@
 """``repro.experiments`` — one runner per paper table/figure + ablations.
 
-See DESIGN.md §4 for the experiment index. Usage:
+``ect-hub list`` prints the experiment index (:data:`.registry.RUNNERS`).
+Usage:
 
 >>> from repro.experiments import run_experiment
 >>> result = run_experiment("fig5")

@@ -26,6 +26,7 @@ from ..rl.dp_oracle import optimal_schedule
 from ..rl.fleet_env import EnvConfig, FleetEnv
 from ..rl.training import evaluate_daily_rewards, train_fleet_ppo
 from ..rng import RngFactory
+from ..spec.scenario import PricingSpec
 from ..synth.charging import ChargingBehaviorModel, ChargingConfig
 from ..units import HOURS_PER_DAY
 from .base import ExperimentResult, scaled
@@ -159,12 +160,14 @@ def run_cbp_sweep(*, scale: float = 1.0, seed: int = 0) -> ExperimentResult:
 def run_loss_forms(*, scale: float = 1.0, seed: int = 0) -> ExperimentResult:
     """abl-loss: Eq. 23 MSE objective vs the likelihood (NLL) form."""
     study = run_pricing_study(seed=seed, scale=scale)
+    protocol = PricingSpec()
     factory = RngFactory(seed=seed)
     rows: dict[str, dict[str, float]] = {}
     for form in ("nll", "mse"):
         config = EctPriceConfig(
-            epochs=scaled(30, scale, minimum=2),
-            batch_size=128,
+            epochs=scaled(protocol.epochs, scale, minimum=2),
+            batch_size=protocol.batch_size,
+            learning_rate=protocol.learning_rate,
             loss_form=form,
         )
         model = EctPriceModel(

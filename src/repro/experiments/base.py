@@ -3,8 +3,7 @@
 Every paper artifact (table or figure) has one runner returning an
 :class:`ExperimentResult`: machine-readable ``data`` plus human-readable
 ``lines`` that the benches print. ``scale`` trades fidelity for runtime —
-1.0 is the bench default (laptop-CPU friendly); paper-scale settings are
-noted per runner in EXPERIMENTS.md.
+1.0 is the bench default (laptop-CPU friendly).
 """
 
 from __future__ import annotations

@@ -25,7 +25,7 @@ from . import (
 )
 from .base import ExperimentResult
 
-#: Experiment id → runner. Keep in sync with DESIGN.md §4.
+#: Experiment id → runner.
 RUNNERS: dict[str, Callable[..., ExperimentResult]] = {
     "fig1": fig1_overlap.run,
     "fig2": fig2_renewables.run,

@@ -1,7 +1,8 @@
 """Shared scheduling study: PPO per (hub, pricing method).
 
 Fig. 13 and Table III share this pipeline: train the four pricing methods
-once (the Table II study), turn each into a per-hub discount schedule, and
+once (the Table II study), turn each into a per-hub discount schedule at
+the :class:`~repro.spec.scenario.PricingSpec` discount level and budget, and
 train/evaluate one ECT-DRL agent per (hub, method) pair on a one-hub
 :class:`~repro.rl.fleet_env.FleetEnv`. All four agents of one hub see
 identical traces; only the charging-price input differs — exactly the
@@ -14,27 +15,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..causal import time_ids_for_slots
 from ..causal.policy import DiscountPolicy, discount_schedule_for_hub
 from ..hub.scenario import HubScenario, ScenarioConfig, build_fleet_scenarios
 from ..rng import RngFactory
 from ..rl.fleet_env import EnvConfig, FleetEnv
 from ..rl.ppo import PpoConfig
 from ..rl.training import evaluate_daily_rewards, train_fleet_ppo
-from ..timeutils import SlotCalendar
+from ..spec.scenario import PricingSpec
 from ..units import HOURS_PER_DAY
 from .base import scaled
-from .pricing_common import BUDGET_FRACTION, PricingStudy, run_pricing_study
+from .pricing_common import PricingStudy, run_pricing_study
 
 #: Paper training/evaluation schedule (500 train / 100 test episodes).
 PAPER_TRAIN_EPISODES = 500
 PAPER_TEST_EPISODES = 100
 
-#: Reduced schedule at scale=1 (laptop CPU); see EXPERIMENTS.md.
+#: Reduced schedule at scale=1 (laptop CPU).
 DEFAULT_TRAIN_EPISODES = 8
 DEFAULT_TEST_EPISODES = 3
-
-#: Discount level applied by every pricing method in the DRL stage.
-DISCOUNT_LEVEL = 0.2
 
 
 @dataclass
@@ -53,15 +52,6 @@ class HubMethodResult:
     def reward_series(self) -> np.ndarray:
         """Mean daily-reward curve across evaluation episodes (Fig. 13)."""
         return self.daily_rewards.mean(axis=0)
-
-
-def time_ids_for_slots(n_hours: int, calendar: SlotCalendar | None = None) -> np.ndarray:
-    """Map simulation slots to the pricing models' time-feature ids."""
-    calendar = calendar or SlotCalendar()
-    slots = np.arange(n_hours)
-    hod = np.asarray(calendar.hour_of_day(slots))
-    weekend = np.asarray(calendar.is_weekend(slots)).astype(int)
-    return hod + HOURS_PER_DAY * weekend
 
 
 def run_scheduling_study(
@@ -114,12 +104,13 @@ def _one_pair(
     train_episodes: int,
     test_episodes: int,
 ) -> HubMethodResult:
+    protocol = PricingSpec()
     schedule = discount_schedule_for_hub(
         policy,
         scenario.site.hub_id,
         time_ids,
-        discount_level=DISCOUNT_LEVEL,
-        budget_fraction=BUDGET_FRACTION,
+        discount_level=protocol.discount_level,
+        budget_fraction=protocol.budget_fraction,
     )
     stream = f"drl/{scenario.site.hub_id}/{policy.name}"
     env = FleetEnv(

@@ -7,7 +7,7 @@ from .base import ExperimentResult
 from .pricing_common import run_pricing_study
 
 #: The paper's six discount levels.
-DISCOUNT_LEVELS = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6)
+PAPER_LEVELS = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6)
 
 #: Published rewards for shape comparison (method → level → reward).
 PAPER_REWARDS = {
@@ -23,7 +23,7 @@ def run(*, scale: float = 1.0, seed: int = 0) -> ExperimentResult:
     study = run_pricing_study(seed=seed, scale=scale)
     outcomes = []
     for policy in study.policies:
-        for level in DISCOUNT_LEVELS:
+        for level in PAPER_LEVELS:
             decision = policy.decide(
                 study.test.station_ids,
                 study.test.time_ids,
@@ -53,9 +53,9 @@ def run(*, scale: float = 1.0, seed: int = 0) -> ExperimentResult:
     lines.append("paper-vs-measured reward (shape check):")
     for method in ("Ours", "OR", "IPS", "DR"):
         measured = " ".join(
-            f"{rows[(method, lvl)]['reward']:.0f}" for lvl in DISCOUNT_LEVELS
+            f"{rows[(method, lvl)]['reward']:.0f}" for lvl in PAPER_LEVELS
         )
-        paper = " ".join(f"{PAPER_REWARDS[method][lvl]}" for lvl in DISCOUNT_LEVELS)
+        paper = " ".join(f"{PAPER_REWARDS[method][lvl]}" for lvl in PAPER_LEVELS)
         lines.append(f"  {method:<5} measured: {measured}")
         lines.append(f"  {method:<5} paper:    {paper}")
     return ExperimentResult(

@@ -20,7 +20,7 @@ Design notes
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -561,8 +561,3 @@ def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
 
     out._backward = backward if out.requires_grad else None
     return out
-
-
-def parameters_of(tensors: Iterable[Tensor]) -> list[Tensor]:
-    """Filter an iterable down to the tensors that require gradients."""
-    return [t for t in tensors if t.requires_grad]

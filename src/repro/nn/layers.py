@@ -12,7 +12,7 @@ import numpy as np
 
 from ..errors import ModelError
 from . import init
-from .autograd import Tensor, concat, ensure_tensor
+from .autograd import Tensor, ensure_tensor
 from .module import Module
 
 
@@ -174,8 +174,3 @@ class MLP(Module):
 
     def forward(self, x) -> Tensor:
         return self.body(x)
-
-
-def concat_features(parts: Sequence[Tensor], axis: int = -1) -> Tensor:
-    """Concatenate feature tensors along the last axis (thin re-export)."""
-    return concat(list(parts), axis=axis)

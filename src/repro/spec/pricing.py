@@ -29,18 +29,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..causal import (
-    MODELS_PER_METHOD,
-    EctPriceConfig,
-    EctPriceModel,
-    EctPricePolicy,
     EveningHeuristicPolicy,
-    NcfConfig,
     OraclePolicy,
-    UpliftPolicy,
     dataset_from_log,
     discount_schedule_for_hub,
-    make_baseline,
     time_ids_for_slots,
+    train_policy,
 )
 from ..errors import ConfigError
 from ..rng import RngFactory
@@ -95,12 +89,12 @@ def compile_pricing(
 ) -> CompiledPricing:
     """Train the spec'd policy and price every hub of the assembly.
 
-    The protocol mirrors the scalar Table III path
-    (:mod:`repro.experiments.scheduling_common`): one policy trained on the
-    behaviour model's historical log prices all hubs, each hub's slots are
-    scored through :func:`~repro.causal.policy.discount_schedule_for_hub`
-    under the spec's discount level and budget fraction. ``train_days`` and
-    ``epochs`` are run-scaled like the fleet itself.
+    One policy, trained by :func:`~repro.causal.policy.train_policy` (the
+    trainer the paper studies use too) on the behaviour model's historical
+    log, prices all hubs: each hub's slots are scored through
+    :func:`~repro.causal.policy.discount_schedule_for_hub` under the spec's
+    discount level and budget fraction. ``train_days`` and ``epochs`` are
+    run-scaled like the fleet itself.
     """
     spec = assembly.spec
     pricing = spec.pricing
@@ -109,7 +103,6 @@ def compile_pricing(
             "compile_pricing needs a pricing policy other than 'none'"
         )
     scale = spec.run.scale
-    factory = RngFactory(seed=spec.run.seed)
     time_ids = time_ids_for_slots(
         assembly.horizon, calendar=assembly.behavior.calendar
     )
@@ -147,39 +140,15 @@ def compile_pricing(
             log = assembly.behavior.simulate_log(train_days)
             train = dataset_from_log(log, n_stations=assembly.n_hubs)
             n_train_items = len(train)
-            if pricing.policy == "ours":
-                model = EctPriceModel(
-                    assembly.n_hubs,
-                    train.n_time_ids,
-                    EctPriceConfig(
-                        epochs=epochs,
-                        batch_size=pricing.batch_size,
-                        learning_rate=pricing.learning_rate,
-                    ),
-                    factory.stream("pricing/ours"),
-                )
-                model.fit(train)
-                policy = EctPricePolicy(
-                    model,
-                    always_avoidance_threshold=(
-                        pricing.always_avoidance_threshold
-                    ),
-                )
-            else:
-                name = pricing.policy.upper()
-                model = make_baseline(
-                    name,
-                    assembly.n_hubs,
-                    train.n_time_ids,
-                    NcfConfig(
-                        epochs=max(epochs // MODELS_PER_METHOD[name], 1),
-                        batch_size=pricing.batch_size,
-                        learning_rate=pricing.learning_rate,
-                    ),
-                    factory.stream(f"pricing/{name}"),
-                )
-                model.fit(train)
-                policy = UpliftPolicy(model)
+            policy = train_policy(
+                pricing.policy,
+                train,
+                epochs=epochs,
+                batch_size=pricing.batch_size,
+                learning_rate=pricing.learning_rate,
+                always_avoidance_threshold=pricing.always_avoidance_threshold,
+                rng_factory=RngFactory(seed=spec.run.seed),
+            )
 
     with optional_span(telemetry, "pricing-schedule", hubs=assembly.n_hubs):
         rows = []

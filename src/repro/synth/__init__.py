@@ -1,10 +1,9 @@
 """``repro.synth`` — synthetic replacements for the paper's datasets.
 
-Each generator substitutes one external/proprietary data source (see
-DESIGN.md §2 for the substitution table): solar + wind (NSRDB), real-time
-prices (ENGIE), cellular traffic (city-scale traces), EV charging sessions
-with latent causal strata (the proprietary campus dataset), and the road/BS
-geography of Fig. 1.
+Each generator substitutes one external/proprietary data source: solar +
+wind (NSRDB), real-time prices (ENGIE), cellular traffic (city-scale
+traces), EV charging sessions with latent causal strata (the proprietary
+campus dataset), and the road/BS geography of Fig. 1.
 """
 
 from .catalog import DEFAULT_FLEET_SIZE, HubSite, default_fleet

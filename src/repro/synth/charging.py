@@ -185,10 +185,6 @@ class ChargingLog:
         np.add.at(counts, hours, 1)
         return counts
 
-    def filter_station(self, station_id: int) -> "ChargingLog":
-        """Items belonging to one station."""
-        return self._mask(self.station_id == station_id)
-
     def split_by_day(self, boundary_day: int) -> tuple["ChargingLog", "ChargingLog"]:
         """Chronological train/test split at ``boundary_day`` (by slot)."""
         day = self.slot // HOURS_PER_DAY
@@ -275,11 +271,6 @@ class ChargingBehaviorModel:
                 )
             )
         return profiles
-
-    @property
-    def station_profiles(self) -> list[StationProfile]:
-        """The fleet's station personalities (deterministic under the seed)."""
-        return list(self._profiles)
 
     def _profile_for(self, station_id: int) -> StationProfile:
         if not 0 <= station_id < len(self._profiles):

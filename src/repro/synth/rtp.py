@@ -7,7 +7,7 @@ a base diurnal curve plus a coupling term driven by the (normalised) system
 load, plus AR(1) noise and occasional scarcity spikes.
 
 Prices are generated in $/MWh to match the feed convention and converted to
-the library's internal $/kWh via :func:`repro.units.mwh_price_to_kwh`.
+the library's internal $/kWh by :attr:`PriceTrace.price_kwh`.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import numpy as np
 
 from ..errors import ConfigError, DataError
 from ..timeutils import SlotCalendar, diurnal_harmonic
-from ..units import mwh_price_to_kwh
 
 
 @dataclass(frozen=True)
@@ -157,8 +156,3 @@ class RtpGenerator:
 
         price = np.clip(price, cfg.price_floor_mwh, cfg.price_cap_mwh)
         return PriceTrace(price_mwh=price)
-
-
-def price_to_internal(trace: PriceTrace) -> np.ndarray:
-    """Convert a trace to $/kWh using the shared units helper."""
-    return np.array([mwh_price_to_kwh(p) for p in trace.price_mwh])

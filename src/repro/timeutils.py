@@ -95,11 +95,6 @@ def hours(n_days: int) -> int:
     return int(n_days) * HOURS_PER_DAY
 
 
-def hour_angle_fraction(hour_of_day: np.ndarray) -> np.ndarray:
-    """Fraction of the day elapsed at each hour, in [0, 1)."""
-    return np.asarray(hour_of_day, dtype=float) / HOURS_PER_DAY
-
-
 def diurnal_harmonic(
     hour_of_day: np.ndarray,
     peak_hour: float,

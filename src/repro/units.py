@@ -75,14 +75,6 @@ def require_positive(name: str, value: float) -> float:
     return value
 
 
-def require_non_negative(name: str, value: float) -> float:
-    """Validate that ``value`` is >= 0 and finite; return it as float."""
-    value = float(value)
-    if not np.isfinite(value) or value < 0:
-        raise UnitsError(f"{name} must be a non-negative finite number, got {value}")
-    return value
-
-
 def require_fraction(name: str, value: float) -> float:
     """Validate that ``value`` lies in [0, 1]; return it as float."""
     value = float(value)

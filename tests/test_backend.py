@@ -15,7 +15,6 @@ that installs numba).
 
 from __future__ import annotations
 
-import json
 import pickle
 
 import numpy as np
@@ -305,38 +304,17 @@ class TestCliBackendFlag:
         flagged_path = tmp_path / "flagged.json"
         assert main([*argv, "--out", str(default_path)]) == 0
         assert (
-            main([*argv, "--backend", "numpy", "--out", str(flagged_path)]) == 0
-        )
-        assert flagged_path.read_bytes() == default_path.read_bytes()
-
-    def test_backend_flag_is_spec_override_sugar(self, tmp_path):
-        """``--backend numba`` must equal ``--set run.backend=numba``."""
-        argv = [
-            "fleet",
-            "--preset",
-            "paper-default",
-            "--set",
-            "run.days=2",
-            "--set",
-            "fleet.n_hubs=4",
-        ]
-        flag_path = tmp_path / "flag.json"
-        dotted_path = tmp_path / "dotted.json"
-        assert main([*argv, "--backend", "numba", "--out", str(flag_path)]) == 0
-        assert (
             main(
-                [*argv, "--set", "run.backend=numba", "--out", str(dotted_path)]
+                [*argv, "--set", "run.backend=numpy", "--out", str(flagged_path)]
             )
             == 0
         )
-        assert flag_path.read_bytes() == dotted_path.read_bytes()
-        doc = json.loads(flag_path.read_text())
-        assert doc["data"]["spec"]["run"]["backend"] == "numba"
+        assert flagged_path.read_bytes() == default_path.read_bytes()
 
     def test_backend_flag_rejects_unknown(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["fleet", "--backend", "cupy"])
-        assert "invalid choice" in capsys.readouterr().err
+        assert main(["fleet", "--set", "run.backend=cupy"]) == 1
+        err = capsys.readouterr().err
+        assert "ect-hub fleet: error: unknown run backend 'cupy'" in err
 
 
 class TestTelemetryBackendStamp:

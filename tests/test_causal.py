@@ -25,9 +25,12 @@ from repro.causal import (
     render_table,
     score_decision,
     time_ids_for_slots,
+    train_policy,
     train_test_split_by_day,
 )
+from repro import nn
 from repro.causal.baselines import PROPENSITY_CLIP
+from repro.causal.ncf import fit_minibatches
 from repro.causal.policy import expected_discount_reward, select_with_budget
 from repro.errors import ConfigError, DataError, NotFittedError
 from repro.rng import RngFactory
@@ -73,8 +76,29 @@ class TestDataset:
         train, _ = small_split
         subset = train.subset(train.treated == 1)
         assert (subset.treated == 1).all()
-        batches = list(subset.batches(64, np.random.default_rng(0)))
-        assert sum(len(b) for b in batches) == len(subset)
+        weight = nn.Tensor(np.zeros(1), requires_grad=True)
+        seen: list[np.ndarray] = []
+
+        def batch_loss(idx):
+            seen.append(idx)
+            return (weight * float(len(idx))).sum()
+
+        history = fit_minibatches(
+            nn.SGD([weight], lr=0.1),
+            batch_loss,
+            len(subset),
+            epochs=2,
+            batch_size=64,
+            rng=np.random.default_rng(0),
+        )
+        assert len(history) == 2
+        assert max(len(b) for b in seen) == 64
+        # Every epoch visits each item exactly once.
+        per_epoch = len(seen) // 2
+        for epoch in (seen[:per_epoch], seen[per_epoch:]):
+            assert np.array_equal(
+                np.sort(np.concatenate(epoch)), np.arange(len(subset))
+            )
 
     def test_invalid_ids_rejected(self):
         with pytest.raises(DataError):
@@ -262,6 +286,60 @@ class TestPolicy:
         )
         model.fit(train)
         assert UpliftPolicy(model).name == "DR"
+
+    @pytest.mark.parametrize("method", ["ours", "ips"])
+    def test_train_policy_is_the_paper_protocol(self, method, small_split):
+        """Epochs split across a method's models, one named stream each."""
+        train, test = small_split
+        protocol = dict(epochs=3, batch_size=512, learning_rate=0.01)
+        policy = train_policy(
+            method,
+            train,
+            always_avoidance_threshold=0.4,
+            rng_factory=RngFactory(seed=5),
+            **protocol,
+        )
+        if method == "ours":
+            mirror = EctPriceModel(
+                12,
+                48,
+                EctPriceConfig(**protocol),
+                RngFactory(seed=5).stream("pricing/ours"),
+            )
+            assert policy.always_avoidance_threshold == 0.4
+        else:
+            mirror = make_baseline(
+                "IPS",
+                12,
+                48,
+                NcfConfig(epochs=1, batch_size=512, learning_rate=0.01),
+                RngFactory(seed=5).stream("pricing/IPS"),
+            )
+        mirror.fit(train)
+        ids = (test.station_ids[:200], test.time_ids[:200])
+        expected = (
+            EctPricePolicy(mirror, always_avoidance_threshold=0.4)
+            if method == "ours"
+            else UpliftPolicy(mirror)
+        )
+        assert (
+            policy.decide(*ids, discount_level=0.2).score.tobytes()
+            == expected.decide(*ids, discount_level=0.2).score.tobytes()
+        )
+
+    @pytest.mark.parametrize("method", ["oracle", "evening", "OURS", "OR", "xyz"])
+    def test_train_policy_rejects_untrained_methods(self, method, small_split):
+        train, _ = small_split
+        with pytest.raises(ConfigError):
+            train_policy(
+                method,
+                train,
+                epochs=1,
+                batch_size=512,
+                learning_rate=0.01,
+                always_avoidance_threshold=0.5,
+                rng_factory=RngFactory(seed=0),
+            )
 
 
 class TestEvaluation:

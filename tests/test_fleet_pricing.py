@@ -23,8 +23,12 @@ from repro.causal import (
     EctPriceConfig,
     EctPriceModel,
     EctPricePolicy,
+    NcfConfig,
     OraclePolicy,
+    UpliftPolicy,
+    dataset_from_log,
     discount_schedule_for_hub,
+    make_baseline,
     time_ids_for_slots,
 )
 from repro.cli import main
@@ -81,7 +85,7 @@ def assert_energy_balance(book, params) -> None:
 class TestScalarEquivalence:
     """One-hub fleet pricing is the scalar pricing pipeline, exactly."""
 
-    @pytest.mark.parametrize("policy", ["oracle", "ours"])
+    @pytest.mark.parametrize("policy", ["oracle", "ours", "dr"])
     def test_schedule_occupancy_and_profit_match_scalar(self, policy):
         spec = price_spec(policy, n_hubs=1)
         compiled = build(spec)
@@ -102,9 +106,23 @@ class TestScalarEquivalence:
             hub_policy = OraclePolicy(strata)
         else:
             log = assembly.behavior.simulate_log(spec.pricing.train_days)
-            from repro.causal import dataset_from_log
-
             train = dataset_from_log(log, n_stations=1)
+        if policy == "dr":
+            # DR splits the epochs across its four NCF models.
+            baseline = make_baseline(
+                "DR",
+                1,
+                train.n_time_ids,
+                NcfConfig(
+                    epochs=max(spec.pricing.epochs // 4, 1),
+                    batch_size=spec.pricing.batch_size,
+                    learning_rate=spec.pricing.learning_rate,
+                ),
+                RngFactory(seed=spec.run.seed).stream("pricing/DR"),
+            )
+            baseline.fit(train)
+            hub_policy = UpliftPolicy(baseline)
+        elif policy == "ours":
             model = EctPriceModel(
                 1,
                 train.n_time_ids,
@@ -136,6 +154,8 @@ class TestScalarEquivalence:
         assert compiled.pricing is not None
         assert compiled.pricing.policy == policy
         assert compiled.pricing.discount[0].tobytes() == schedule.tobytes()
+        # An all-zero schedule would match any policy; this one discounts.
+        assert (schedule > 0.0).any()
         occupied = resolve_occupancy(strata, schedule > 0.0)
         assert (
             compiled.simulation.inputs.occupied[0].tobytes()

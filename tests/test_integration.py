@@ -10,11 +10,11 @@ from repro.causal import (
     EctPriceModel,
     EctPricePolicy,
     score_decision,
+    time_ids_for_slots,
     train_test_split_by_day,
 )
 from repro.causal.policy import discount_schedule_for_hub
 from repro.experiments.pricing_common import run_pricing_study
-from repro.experiments.scheduling_common import time_ids_for_slots
 from repro.hub import ScenarioConfig, build_fleet_scenarios, fleet_behavior_model
 from repro.rl import EnvConfig, FleetEnv, evaluate_daily_rewards, train_fleet_ppo
 from repro.rng import RngFactory
